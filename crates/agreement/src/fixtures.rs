@@ -21,10 +21,11 @@
 //! nothing to declare: every operation they perform (`tas`,
 //! `xcons_propose`, `reg_read`/`reg_write`) already returns a
 //! minimal-width result the body consumes whole, so the summary
-//! reduction is, correctly, a no-op on them: running the bench
-//! catalogue with and without `MPCN_EXPLORE_VIEWSUM=0` prints
-//! byte-identical fig5/fig6 lines (the CI gate itself compares only the
-//! `complete=`/`violations=` verdict fields).
+//! reduction is, correctly, a no-op on them: clearing
+//! `Reduction::view_summaries` (the bench catalogue's
+//! `MPCN_EXPLORE_VIEWSUM=0` mode) leaves every other flag on and prints
+//! byte-identical fig5/fig6 lines, while the fig1 lines change (the CI
+//! verdict gate compares only the `complete=`/`violations=` fields).
 
 use mpcn_runtime::model_world::{Body, ModelWorld, RunReport, Symmetry};
 use mpcn_runtime::Env;
@@ -183,7 +184,6 @@ mod tests {
             trace: None,
             branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind: vec![],
         };
         // Disagreement (decoded 100 vs 101).

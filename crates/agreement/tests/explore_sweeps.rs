@@ -5,9 +5,10 @@
 //! * Figure 1 safe agreement, `n = 3..6` — **exhaustive through
 //!   `n = 5`** (DPOR footprint commutation + the observation quotient +
 //!   the declared view summaries of `SafeAgreement`; the `n = 4` and
-//!   `n = 5` sweeps pin exact state-count baselines, and a summary-off
-//!   sweep pins that `Reduction::no_viewsum` reproduces the PR 4
-//!   `n = 4` baseline byte for byte). `n = 6` is also exhaustible
+//!   `n = 5` sweeps pin exact state-count baselines, and summary-off and
+//!   symmetry-off sweeps pin that clearing one `Reduction` flag
+//!   reproduces the earlier engines' lines byte for byte). `n = 6` is
+//!   also exhaustible
 //!   (~20 s release) — pinned by an `#[ignore]`d release-scale test
 //!   that runs through a disk-backed `SpillStore` under a binding
 //!   resident ceiling (the storage layer at its design scale);
@@ -20,7 +21,7 @@
 //!   and the storage layer that a disk-spilled sweep reproduces the
 //!   in-memory line byte for byte), bounded-depth at `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
-//!   `(process, step)` pair, DPOR-on vs DPOR-off, verdicts cross-checked
+//!   `(process, step)` pair, DPOR on vs off, verdicts cross-checked
 //!   against the gated-replay oracle — plus a crash-count differential
 //!   pinning that one `Crashes::UpTo(1)` sweep reproduces the exact
 //!   outcome union of the whole matrix;
@@ -42,15 +43,16 @@
 //! The deterministic state-count lines these sweeps produce are also
 //! printed by `crates/bench/benches/explore_sweep.rs` and diffed by the
 //! CI determinism gate (including across explorer thread counts, and
-//! across `MPCN_EXPLORE_DPOR` / `MPCN_EXPLORE_VIEWSUM` modes for the
-//! verdict fields — `docs/EXPLORER.md` catalogues every knob); the
-//! baselines are recorded in ROADMAP.md and EXPERIMENTS.md.
+//! across the `MPCN_EXPLORE_DPOR` / `MPCN_EXPLORE_VIEWSUM` /
+//! `MPCN_EXPLORE_SYMM` modes for the verdict fields —
+//! `docs/EXPLORER.md` catalogues every knob); the baselines are
+//! recorded in ROADMAP.md and EXPERIMENTS.md.
 
 use mpcn_agreement::fixtures::{
     check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies, FIG1_SYMMETRY,
 };
 use mpcn_runtime::explore::{
-    explore, replay_tso, threads_from_env, ExploreLimits, Explorer, Reduction,
+    explore, replay, threads_from_env, ExploreLimits, Explorer, Reduction,
 };
 use mpcn_runtime::model_world::RunReport;
 use mpcn_runtime::sched::Crashes;
@@ -112,17 +114,18 @@ fn fig1_n4_exhaustive_baseline() {
     );
 }
 
-/// The symmetry-off differential anchor: [`Reduction::no_symm`] must
-/// reproduce the PR 5/6 `n = 4` baseline **byte for byte** even with
-/// the spec supplied — the quotient changes only state *identity*, so
-/// switching it off restores the pre-symmetry engine's exact search
-/// shape, `symm=` field absent and all (the mode `MPCN_EXPLORE_SYMM=0`
-/// selects for the whole bench catalogue).
+/// The symmetry-off differential anchor: clearing
+/// [`Reduction::symmetry`] must reproduce the symmetry-free `n = 4`
+/// baseline **byte for byte** even with the spec supplied — the quotient
+/// changes only state *identity*, so switching it off restores the
+/// pre-symmetry engine's exact search shape, `symm=` field absent and
+/// all (the mode `MPCN_EXPLORE_SYMM=0` selects for the whole bench
+/// catalogue).
 #[test]
 fn fig1_n4_symm_off_reproduces_pr5_baseline() {
     let out = Explorer::new(4)
         .threads(threads_from_env(2))
-        .reduction(Reduction::no_symm())
+        .reduction(Reduction { symmetry: false, ..Reduction::full() })
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
         .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
@@ -136,17 +139,19 @@ fn fig1_n4_symm_off_reproduces_pr5_baseline() {
     );
 }
 
-/// The summary-off differential anchor: [`Reduction::no_viewsum`] must
-/// reproduce the PR 4 `n = 4` baseline **byte for byte** — the declared
-/// summaries change how observations are *folded*, never what the
-/// program does, so switching them off restores the summary-free
-/// engine's exact search shape (the mode `MPCN_EXPLORE_VIEWSUM=0`
-/// selects for the whole bench catalogue).
+/// The summary-off differential anchor: clearing
+/// [`Reduction::view_summaries`] must reproduce the summary-free `n = 4`
+/// baseline **byte for byte** — the declared summaries change how
+/// observations are *folded*, never what the program does, so switching
+/// them off restores the summary-free engine's exact search shape. No
+/// symmetry spec is supplied, so the symmetry flag has nothing to act
+/// on (the bench catalogue's `MPCN_EXPLORE_VIEWSUM=0` mode keeps the
+/// spec and hence prints a different, symmetry-reduced line).
 #[test]
 fn fig1_n4_viewsum_off_reproduces_pr4_baseline() {
     let out = Explorer::new(4)
         .threads(threads_from_env(2))
-        .reduction(Reduction::no_viewsum())
+        .reduction(Reduction { view_summaries: false, ..Reduction::full() })
         .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
         .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
     out.assert_no_violation();
@@ -196,16 +201,16 @@ fn fig1_n5_exhaustive_symm_baseline() {
     );
 }
 
-/// The symmetry-off `n = 5` anchor: [`Reduction::no_symm`] reproduces
-/// the PR 5 view-summary milestone line byte for byte, under the same
-/// deliberately binding 2 048-node resident ceiling and 8-layer
-/// checkpoint stride — so mass eviction and anchored rehydration stay
-/// pinned at a width where the ceiling actually binds.
+/// The symmetry-off `n = 5` anchor: clearing [`Reduction::symmetry`]
+/// reproduces the symmetry-free view-summary milestone line byte for
+/// byte, under the same deliberately binding 2 048-node resident ceiling
+/// and 8-layer checkpoint stride — so mass eviction and anchored
+/// rehydration stay pinned at a width where the ceiling actually binds.
 #[test]
 fn fig1_n5_symm_off_reproduces_pr5_baseline() {
     let out = Explorer::new(5)
         .threads(threads_from_env(2))
-        .reduction(Reduction::no_symm())
+        .reduction(Reduction { symmetry: false, ..Reduction::full() })
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -407,10 +412,10 @@ fn fig6_n4_exhaustive_is_thread_count_invariant() {
 
 /// The crash-schedule matrix: `fig1 n = 3` with a crash injected at
 /// every `(process, step)` pair — every victim, every own-step position
-/// in its 4-operation body — swept exhaustively under DPOR **and** under
-/// the DPOR-off baseline. Verdicts must match pair for pair, and both
-/// agree with the gated-replay oracle: any violation either sweep found
-/// would be re-executed through the gated reference engine (the
+/// in its 4-operation body — swept exhaustively with DPOR **on and off**
+/// (every other reduction on). Verdicts must match pair for pair, and
+/// both agree with the gated-replay oracle: any violation either sweep
+/// found would be re-executed through the gated reference engine (the
 /// explorer's built-in confirmation) before being reported, and the
 /// canonical choice-0 schedule is additionally replayed gated here and
 /// checked directly.
@@ -430,7 +435,7 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
                     .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, false))
             };
             let dpor = sweep(Reduction::full());
-            let baseline = sweep(Reduction::no_dpor());
+            let baseline = sweep(Reduction { dpor: false, ..Reduction::full() });
             dpor.assert_no_violation();
             baseline.assert_no_violation();
             assert_eq!(
@@ -445,7 +450,7 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
             );
             // Gated-replay oracle, driven explicitly on the canonical
             // schedule: the reference engine agrees nothing is violated.
-            let gated = mpcn_runtime::explore::replay(3, crashes, 1_000, || fig1_bodies(3, 1), &[]);
+            let gated = replay(3, crashes, false, 1_000, || fig1_bodies(3, 1), &[]);
             assert!(
                 check_agreement(&gated, 3, false).is_ok(),
                 "gated oracle disagrees (victim {victim}, step {crash_step})"
@@ -621,7 +626,7 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
     );
     // Gated replay: the relaxed outcome reproduces — every process
     // decides its own proposal (encoded `v + 1`).
-    let replayed = replay_tso(3, Crashes::None, 2_000, || fig1_bodies(3, 1), &v.choices);
+    let replayed = replay(3, Crashes::None, true, 2_000, || fig1_bodies(3, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103]);
     assert!(check_agreement(&replayed, 3, true).is_err(), "replay must reproduce the violation");
 }
@@ -653,7 +658,7 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
          branching=[0,7808,28061,53743,58861,37884,14280,2948,256]",
         "fig1 n = 4 TSO counterexample baseline drifted"
     );
-    let replayed = replay_tso(4, Crashes::None, 2_000, || fig1_bodies(4, 1), &v.choices);
+    let replayed = replay(4, Crashes::None, true, 2_000, || fig1_bodies(4, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103, 104]);
     assert!(check_agreement(&replayed, 4, true).is_err(), "replay must reproduce the violation");
 }
@@ -811,12 +816,10 @@ fn fig1_violation_schedule_replays_deterministically() {
         .run(|| fig1_bodies(3, 1), broken);
     let v = out.violation().expect("the explorer must find a p2-first schedule");
     // Replay: the violating interleaving re-runs deterministically.
-    let replayed =
-        mpcn_runtime::explore::replay(3, Crashes::None, 1_000, || fig1_bodies(3, 1), &v.choices);
+    let replayed = replay(3, Crashes::None, false, 1_000, || fig1_bodies(3, 1), &v.choices);
     assert!(broken(&replayed).is_err(), "replay must reproduce: {}", v.repro_snippet());
     // And twice more, to pin determinism of the replay itself.
-    let again =
-        mpcn_runtime::explore::replay(3, Crashes::None, 1_000, || fig1_bodies(3, 1), &v.choices);
+    let again = replay(3, Crashes::None, false, 1_000, || fig1_bodies(3, 1), &v.choices);
     assert_eq!(replayed.outcomes, again.outcomes);
 }
 

@@ -13,9 +13,9 @@
 //!   programs are unaffected" half of the contract;
 //! * a symmetry-quotiented sweep interrupted at a barrier resumes to
 //!   the byte-identical final report via
-//!   `Explorer::resume_sweep_with_symmetry`, and plain `resume_sweep`
-//!   refuses the spec-bearing manifest instead of silently resuming in
-//!   the wrong state space.
+//!   `Explorer::resume_sweep_with_symmetry`, and resuming it with no
+//!   spec (`None`) is refused instead of silently resuming in the wrong
+//!   state space.
 
 use mpcn_agreement::fixtures::{
     check_agreement, fig1_bodies, fig6_bodies, FIG1_SYMMETRY, KIND_BASE,
@@ -288,8 +288,8 @@ fn canonical_fingerprint_survives_codec_roundtrip() {
 
 /// Programs that declare no spec are untouched by the reduction flag:
 /// the fig6 sweep prints byte-identical summary lines under
-/// `Reduction::full()` (symmetry on, no spec to act on) and
-/// `Reduction::no_symm()`.
+/// `Reduction::full()` (symmetry on, no spec to act on) and with
+/// `Reduction::symmetry` cleared.
 #[test]
 fn programs_without_a_spec_are_untouched() {
     let sweep = |reduction: Reduction| {
@@ -303,7 +303,7 @@ fn programs_without_a_spec_are_untouched() {
             .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, true))
     };
     let on = sweep(Reduction::full());
-    let off = sweep(Reduction::no_symm());
+    let off = sweep(Reduction { symmetry: false, ..Reduction::full() });
     assert_eq!(
         on.stats.summary(),
         off.stats.summary(),
@@ -359,8 +359,8 @@ fn symm_sweep_resumes_to_identical_report() {
     assert!(resumed.stats.symm_enabled, "the resumed sweep must keep the quotient active");
 }
 
-/// Plain `resume_sweep` must refuse a manifest whose sweep was started
-/// with a symmetry spec: resuming without the spec would fingerprint
+/// Resuming without a spec (`None`) must refuse a manifest whose sweep
+/// was started with a symmetry spec: resuming without it would fingerprint
 /// future layers in a different state space than the persisted visited
 /// set.
 #[test]
@@ -376,11 +376,16 @@ fn resume_without_spec_refuses_symm_manifest() {
         .halt_after_layers(3)
         .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
     let result = std::panic::catch_unwind(|| {
-        Explorer::resume_sweep(&dir, || fig1_bodies(3, 1), |r| check_agreement(r, 3, true))
+        Explorer::resume_sweep_with_symmetry(
+            &dir,
+            None,
+            || fig1_bodies(3, 1),
+            |r| check_agreement(r, 3, true),
+        )
     });
     let _ = std::fs::remove_dir_all(&dir);
     match result {
-        Ok(_) => panic!("resume_sweep accepted a spec-bearing manifest"),
+        Ok(_) => panic!("a spec-less resume accepted a spec-bearing manifest"),
         Err(e) => std::panic::resume_unwind(e),
     }
 }

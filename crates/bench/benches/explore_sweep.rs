@@ -9,20 +9,14 @@
 //!   the benches twice and diffs exactly these lines, and additionally
 //!   diffs an `MPCN_EXPLORE_THREADS=1` run against an
 //!   `MPCN_EXPLORE_THREADS=2` run; further gates re-run the catalogue
-//!   under `MPCN_EXPLORE_DPOR=0` (the pre-DPOR reduction set),
-//!   `MPCN_EXPLORE_VIEWSUM=0` (summaries off), and
-//!   `MPCN_EXPLORE_SYMM=0` (the pid-symmetry quotient off — the PR 5/6
-//!   baseline lines byte for byte), `MPCN_EXPLORE_CRASHCOUNT=0`
-//!   (the fault-tolerance sweeps dropped from the catalogue — the
-//!   crash-free line set reproduced exactly), and `MPCN_EXPLORE_TSO=0`
-//!   (the weak-memory sweeps dropped — the sequentially consistent
-//!   line set reproduced byte for byte) and assert the *verdict*
-//!   fields (`complete=…/violations=…`) of every common label match —
-//!   state counts legitimately differ between reduction sets. The storage
-//!   gate re-runs the catalogue under `MPCN_EXPLORE_SPILL=1` (every
-//!   sweep through a disk-backed `SpillStore`) and diffs the *whole*
-//!   lines against the in-memory run — storage is policy and must be
-//!   invisible. The CI golden-baseline gate additionally diffs a
+//!   with one reduction flag cleared per mode — `MPCN_EXPLORE_DPOR=0`,
+//!   `MPCN_EXPLORE_VIEWSUM=0`, `MPCN_EXPLORE_SYMM=0` — and assert the
+//!   *verdict* fields (`complete=…/violations=…`) of every sweep match
+//!   the full-reduction run — state counts legitimately differ between
+//!   reduction sets. The storage gate re-runs the catalogue under
+//!   `MPCN_EXPLORE_SPILL=1` (every sweep through a disk-backed
+//!   `SpillStore`) and diffs the *whole* lines against the in-memory
+//!   run — storage is policy and must be invisible. The CI golden-baseline gate additionally diffs a
 //!   `threads=1` run against the committed
 //!   `tests/golden/explore_catalogue.txt`. Baselines are recorded in
 //!   ROADMAP.md; `docs/EXPLORER.md` catalogues every environment knob
@@ -43,33 +37,26 @@
 //! (default 2); reduction set: `MPCN_EXPLORE_DPOR` /
 //! `MPCN_EXPLORE_VIEWSUM` / `MPCN_EXPLORE_SYMM` (default full — DPOR
 //! footprints, observation quotient, view summaries, pid-symmetry
-//! quotient). The fig1 sweeps declare `FIG1_SYMMETRY`; fig5/fig6
-//! declare no spec and print identical lines in every symmetry mode.
-//! The `fig1 n=4 pruned` exhaustive sweep is catalogued only under
-//! DPOR: without it, it is a 4.58M-expansion, minutes-long sweep CI
-//! cannot afford per gate run. The flagship `fig1 n=5 pruned` sweep
-//! (the ROADMAP "Figure 1 at n = 5" milestone, well under a second in
-//! release with the symmetry quotient, under a deliberately binding
-//! 2 048-node resident ceiling with 8-layer checkpoints) is likewise
-//! catalogued only under the view summaries that make it tractable.
-//! The fault-tolerance sweeps (`fig1 n=5 f=1` / `n=4 f=2` under
-//! `Crashes::UpTo(f)`) require both and additionally honour
-//! `MPCN_EXPLORE_CRASHCOUNT=0`, under which the catalogue reproduces
-//! the crash-free line set byte for byte. The weak-memory sweeps
-//! (`Explorer::tso` — x86-TSO store buffers) likewise require both and
-//! honour `MPCN_EXPLORE_TSO=0`; the `fig1 n=3 tso` sweep is an
-//! **expected counterexample** (unfenced safe agreement is not safe
-//! under TSO — `explore_sweeps.rs` pins the exact choice vector), so
-//! its line deterministically reports `violations=1` and the bench
-//! asserts the violation *is* found rather than absent.
+//! quotient). Every mode runs all 14 sweeps. The fig1 sweeps declare
+//! `FIG1_SYMMETRY`; fig5/fig6 declare no spec and print identical lines
+//! in every symmetry mode. The flagship `fig1 n=5 pruned` sweep (the
+//! ROADMAP "Figure 1 at n = 5" milestone) runs under a 2 048-node
+//! resident ceiling with 8-layer checkpoints. The fault-tolerance sweeps
+//! (`fig1 n=5 f=1` / `n=4 f=2`) run under `Crashes::UpTo(f)` and the
+//! weak-memory sweeps under `Explorer::tso` (x86-TSO store buffers);
+//! the `fig1 n=3 tso` sweep is an **expected counterexample** (unfenced
+//! safe agreement is not safe under TSO — `explore_sweeps.rs` pins the
+//! exact choice vector), so its line deterministically reports
+//! `violations=1` and the bench asserts the violation *is* found rather
+//! than absent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpcn_agreement::fixtures::{
     check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies, FIG1_SYMMETRY,
 };
 use mpcn_runtime::explore::{
-    crashcount_from_env, reduction_from_env, spill_from_env, threads_from_env, tso_from_env,
-    ExploreLimits, ExploreReport, Explorer, Reduction,
+    reduction_from_env, spill_from_env, threads_from_env, ExploreLimits, ExploreReport, Explorer,
+    Reduction,
 };
 use mpcn_runtime::sched::Crashes;
 use std::hint::black_box;
@@ -224,141 +211,117 @@ fn catalogue(threads: usize, reduction: Reduction) -> Vec<Sweep> {
         )
         .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, false))
     });
-    if reduction.dpor {
-        // The PR 4 "Figure 1 at n = 4" milestone: exhaustive only under
-        // DPOR + observation quotient (pre-DPOR it is a 4.58M-expansion
-        // sweep — minutes per run, unaffordable per CI gate invocation).
-        // `explore_sweeps.rs` pins this exact line in both summary
-        // modes.
-        run_timed(&mut sweeps, "fig1 n=4 pruned", || {
-            maybe_spill(
-                Explorer::new(4)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .symmetry(FIG1_SYMMETRY)
-                    .limits(limits(2_000_000, usize::MAX)),
-                &spill,
-                "fig1 n=4 pruned",
-            )
-            .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, false))
-        });
-    }
-    if reduction.view_summaries {
-        // The ROADMAP "Figure 1 at n = 5" milestone: exhaustive only
-        // under the declared view summaries (summary-off it blows the
-        // expansion budget by orders of magnitude). Runs the
-        // bounded-memory frontier with a binding ceiling + 8-layer
-        // checkpoints, so eviction and anchored rehydration are
-        // exercised on every CI gate run; eviction is a memory policy,
-        // so the printed line is identical to an unbounded sweep's.
-        // `explore_sweeps.rs` pins this exact line.
-        run_timed(&mut sweeps, "fig1 n=5 pruned", || {
-            maybe_spill(
-                Explorer::new(5)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .symmetry(FIG1_SYMMETRY)
-                    .limits(limits(60_000_000, usize::MAX))
-                    .resident_ceiling(2_048)
-                    .checkpoint_every(8),
-                &spill,
-                "fig1 n=5 pruned",
-            )
-            .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, false))
-        });
-    }
-    if reduction.dpor && reduction.view_summaries && crashcount_from_env() {
-        // The fault-tolerance sweeps (ISSUE "crash-count adversary"):
-        // `Crashes::UpTo(f)` turns every crash placement into an
-        // explicit frontier branch, so one sweep exhausts the whole
-        // fault-tolerance envelope with every reduction live — the
-        // pid-symmetry quotient included (`UpTo` names no process).
-        // Catalogued only under DPOR + view summaries (the reductions
-        // that keep the crash-branched trees affordable per CI gate
-        // run) and only while `MPCN_EXPLORE_CRASHCOUNT` is not `0`, so
-        // the knob-off catalogue reproduces the crash-free line set.
-        // `explore_sweeps.rs` pins both exact lines.
-        run_timed(&mut sweeps, "fig1 n=5 f=1 pruned", || {
-            maybe_spill(
-                Explorer::new(5)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .symmetry(FIG1_SYMMETRY)
-                    .crashes(Crashes::UpTo(1))
-                    .limits(limits(60_000_000, usize::MAX))
-                    .resident_ceiling(2_048)
-                    .checkpoint_every(8),
-                &spill,
-                "fig1 n=5 f=1 pruned",
-            )
-            .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, false))
-        });
-        run_timed(&mut sweeps, "fig1 n=4 f=2 pruned", || {
-            maybe_spill(
-                Explorer::new(4)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .symmetry(FIG1_SYMMETRY)
-                    .crashes(Crashes::UpTo(2))
-                    .limits(limits(60_000_000, usize::MAX))
-                    .resident_ceiling(2_048)
-                    .checkpoint_every(8),
-                &spill,
-                "fig1 n=4 f=2 pruned",
-            )
-            .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, false))
-        });
-    }
-    if reduction.dpor && reduction.view_summaries && tso_from_env() {
-        // The weak-memory sweeps (ISSUE "TSO exploration mode"):
-        // `Explorer::tso` adds per-process FIFO store buffers, with
-        // every flush an explicit frontier branch. Catalogued only
-        // under DPOR + view summaries (the flush-branched trees are
-        // unaffordable unreduced per CI gate run) and only while
-        // `MPCN_EXPLORE_TSO` is not `0`, so the knob-off catalogue
-        // reproduces the sequentially consistent line set byte for
-        // byte. `explore_sweeps.rs` pins the corresponding exact
-        // lines; the fig1 sweep is the pinned agreement
-        // *counterexample* (its line deterministically ends
-        // `complete=false violations=1`).
-        run_timed_counterexample(&mut sweeps, "fig1 n=3 tso pruned", || {
-            maybe_spill(
-                Explorer::new(3)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .symmetry(FIG1_SYMMETRY)
-                    .tso(true)
-                    .limits(limits(10_000_000, usize::MAX)),
-                &spill,
-                "fig1 n=3 tso pruned",
-            )
-            .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, false))
-        });
-        run_timed(&mut sweeps, "fig5 n=4 x=2 tso pruned", || {
-            maybe_spill(
-                Explorer::new(4)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .tso(true)
-                    .limits(limits(500_000, usize::MAX)),
-                &spill,
-                "fig5 n=4 x=2 tso pruned",
-            )
-            .run(|| fig5_bodies(4, 2), |r| check_winners(r, 4, 2))
-        });
-        run_timed(&mut sweeps, "fig6 n=3 x=2 tso pruned", || {
-            maybe_spill(
-                Explorer::new(3)
-                    .threads(threads)
-                    .reduction(reduction)
-                    .tso(true)
-                    .limits(limits(10_000_000, usize::MAX)),
-                &spill,
-                "fig6 n=3 x=2 tso pruned",
-            )
-            .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, false))
-        });
-    }
+    // The "Figure 1 at n = 4" milestone. `explore_sweeps.rs` pins this
+    // exact line.
+    run_timed(&mut sweeps, "fig1 n=4 pruned", || {
+        maybe_spill(
+            Explorer::new(4)
+                .threads(threads)
+                .reduction(reduction)
+                .symmetry(FIG1_SYMMETRY)
+                .limits(limits(2_000_000, usize::MAX)),
+            &spill,
+            "fig1 n=4 pruned",
+        )
+        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, false))
+    });
+    // The ROADMAP "Figure 1 at n = 5" milestone. Runs the bounded-memory
+    // frontier with a 2 048-node ceiling + 8-layer checkpoints (binding
+    // once symmetry is off), so eviction and anchored rehydration are
+    // exercised by the CI gates; eviction is a memory policy, so the
+    // printed line is identical to an unbounded sweep's.
+    // `explore_sweeps.rs` pins this exact line.
+    run_timed(&mut sweeps, "fig1 n=5 pruned", || {
+        maybe_spill(
+            Explorer::new(5)
+                .threads(threads)
+                .reduction(reduction)
+                .symmetry(FIG1_SYMMETRY)
+                .limits(limits(60_000_000, usize::MAX))
+                .resident_ceiling(2_048)
+                .checkpoint_every(8),
+            &spill,
+            "fig1 n=5 pruned",
+        )
+        .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, false))
+    });
+    // The fault-tolerance sweeps: `Crashes::UpTo(f)` turns every crash
+    // placement into an explicit frontier branch, so one sweep exhausts
+    // the whole fault-tolerance envelope with every reduction live — the
+    // pid-symmetry quotient included (`UpTo` names no process).
+    // `explore_sweeps.rs` pins both exact lines.
+    run_timed(&mut sweeps, "fig1 n=5 f=1 pruned", || {
+        maybe_spill(
+            Explorer::new(5)
+                .threads(threads)
+                .reduction(reduction)
+                .symmetry(FIG1_SYMMETRY)
+                .crashes(Crashes::UpTo(1))
+                .limits(limits(60_000_000, usize::MAX))
+                .resident_ceiling(2_048)
+                .checkpoint_every(8),
+            &spill,
+            "fig1 n=5 f=1 pruned",
+        )
+        .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, false))
+    });
+    run_timed(&mut sweeps, "fig1 n=4 f=2 pruned", || {
+        maybe_spill(
+            Explorer::new(4)
+                .threads(threads)
+                .reduction(reduction)
+                .symmetry(FIG1_SYMMETRY)
+                .crashes(Crashes::UpTo(2))
+                .limits(limits(60_000_000, usize::MAX))
+                .resident_ceiling(2_048)
+                .checkpoint_every(8),
+            &spill,
+            "fig1 n=4 f=2 pruned",
+        )
+        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, false))
+    });
+    // The weak-memory sweeps: `Explorer::tso` adds per-process FIFO store
+    // buffers, with every flush an explicit frontier branch.
+    // `explore_sweeps.rs` pins the corresponding exact lines; the fig1
+    // sweep is the pinned agreement *counterexample* (its line
+    // deterministically ends `complete=false violations=1`).
+    run_timed_counterexample(&mut sweeps, "fig1 n=3 tso pruned", || {
+        maybe_spill(
+            Explorer::new(3)
+                .threads(threads)
+                .reduction(reduction)
+                .symmetry(FIG1_SYMMETRY)
+                .tso(true)
+                .limits(limits(10_000_000, usize::MAX)),
+            &spill,
+            "fig1 n=3 tso pruned",
+        )
+        .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, false))
+    });
+    run_timed(&mut sweeps, "fig5 n=4 x=2 tso pruned", || {
+        maybe_spill(
+            Explorer::new(4)
+                .threads(threads)
+                .reduction(reduction)
+                .tso(true)
+                .limits(limits(500_000, usize::MAX)),
+            &spill,
+            "fig5 n=4 x=2 tso pruned",
+        )
+        .run(|| fig5_bodies(4, 2), |r| check_winners(r, 4, 2))
+    });
+    run_timed(&mut sweeps, "fig6 n=3 x=2 tso pruned", || {
+        maybe_spill(
+            Explorer::new(3)
+                .threads(threads)
+                .reduction(reduction)
+                .tso(true)
+                .limits(limits(10_000_000, usize::MAX)),
+            &spill,
+            "fig6 n=3 x=2 tso pruned",
+        )
+        .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, false))
+    });
     if let Some(base) = &spill {
         let _ = std::fs::remove_dir_all(base);
     }

@@ -53,12 +53,12 @@
 //!
 //! # Reductions (see [`super::Reduction`])
 //!
-//! The skip rule generalizing the commuting-reads reduction lives in
-//! [`Engine::skip_kind`]: with DPOR on, a child pick is skipped when its
-//! pending *action* (operation footprint or crash delivery) commutes with
-//! the action that created the node and the pids are inverted — only the
-//! pid-canonical order of each adjacent independent pair is explored. The
-//! observation quotient swaps [`Snapshot::fingerprint`] for
+//! The partial-order skip rule lives in [`Engine::skip_kind`]: with DPOR
+//! on, a child pick is skipped when its pending *action* (operation
+//! footprint, crash delivery, or TSO flush) commutes with the action that
+//! created the node and the pids are inverted — only the pid-canonical
+//! order of each adjacent independent pair is explored. The observation
+//! quotient swaps [`Snapshot::fingerprint`] for
 //! [`Snapshot::fingerprint_quotient`] as the visited-set identity.
 //!
 //! # Bounded-memory frontier ([`super::Explorer::resident_ceiling`])
@@ -202,11 +202,12 @@ impl Action {
     }
 }
 
-/// Which reduction rule skipped a sibling (for the statistics split).
+/// Which case of the DPOR rule skipped a sibling (for the statistics
+/// split).
 enum SkipKind {
-    /// The commuting-pure-reads special case (counted as `sleep`).
+    /// Two adjacent pure reads (counted as `sleep`).
     Sleep,
-    /// The general DPOR footprint/crash-commutation rule.
+    /// Every other commuting pair (counted as `dpor`).
     Dpor,
 }
 
@@ -393,7 +394,6 @@ pub(super) struct Engine<'a, F, C> {
     check: &'a C,
     /// See [`Shared::prune`] — also the snapshot-tracking flag.
     prune: bool,
-    sleep: bool,
     dpor: bool,
     quotient: bool,
     viewsum: bool,
@@ -454,13 +454,9 @@ where
         store: Box<dyn SnapshotStore>,
         spilling: bool,
     ) -> Self {
-        // Random crashes are a sampling policy whose RNG state is a
-        // function of the pick history, not of the reached state; no
-        // reduction's argument applies, so all are disabled.
-        let reducible = !matches!(ex.crashes, Crashes::Random { .. });
-        // The symmetry quotient additionally requires a pid-blind
-        // adversary: an [`Crashes::AtOwnStep`] plan names concrete pids,
-        // so delivering it breaks the permutation-closure the canonical
+        // The symmetry quotient requires a pid-blind adversary: an
+        // [`Crashes::AtOwnStep`] plan names concrete pids, so
+        // delivering it breaks the permutation-closure the canonical
         // fingerprint's soundness rests on. [`Crashes::None`] and the
         // crash-count adversary [`Crashes::UpTo`] qualify — the budget
         // is a pure count (the number of crashed flags in the state,
@@ -498,11 +494,10 @@ where
             ex,
             make_bodies,
             check,
-            prune: ex.reduction.prune_visited && reducible,
-            sleep: ex.reduction.sleep_reads && reducible,
-            dpor: ex.reduction.dpor && reducible,
-            quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs && reducible,
-            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries && reducible,
+            prune: ex.reduction.prune_visited,
+            dpor: ex.reduction.dpor,
+            quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
+            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
             threads: ex.threads.max(1),
             visited: VisitedShards::new(),
@@ -763,14 +758,14 @@ where
     /// transposed pair reaches the canonical (pid-ascending) pair's
     /// state, whose subtree is covered from its canonical representative.
     ///
-    /// With [`super::Reduction::dpor`] the commuting test is the full
-    /// action-level one ([`Action::commutes`]: footprint independence,
-    /// crash commutation); otherwise only the legacy commuting-pure-reads
-    /// special case applies. `p`'s action is a crash delivery when the
-    /// (stateless) crash plan fires at its current own-step clock, and
-    /// the completed operation's footprint otherwise.
+    /// Active only under [`super::Reduction::dpor`]; the commuting test
+    /// is the action-level one ([`Action::commutes`]: footprint
+    /// independence, crash commutation). `p`'s action is a crash
+    /// delivery when the (stateless) crash plan fires at its current
+    /// own-step clock, and the completed operation's footprint
+    /// otherwise.
     fn skip_kind(&self, node: &Node, choice: usize) -> Option<SkipKind> {
-        if !self.dpor && !self.sleep {
+        if !self.dpor {
             return None;
         }
         let (q, act_q) = node.incoming.as_ref()?;
@@ -831,19 +826,16 @@ where
         {
             return None;
         }
-        let read_read = act_p.is_pure_read() && act_q.is_pure_read();
-        if self.dpor && act_p.commutes(act_q) {
-            Some(if read_read { SkipKind::Sleep } else { SkipKind::Dpor })
-        } else if self.sleep && !self.dpor && read_read {
-            Some(SkipKind::Sleep)
-        } else {
-            None
+        if !act_p.commutes(act_q) {
+            return None;
         }
+        let read_read = act_p.is_pure_read() && act_q.is_pure_read();
+        Some(if read_read { SkipKind::Sleep } else { SkipKind::Dpor })
     }
 
     /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
-    /// step. [`Crashes::Random`] never reaches here — it disables the
-    /// reductions.
+    /// step. [`Crashes::Random`] never reaches here — `Explorer::run`
+    /// rejects it.
     fn crash_fires(&self, pid: Pid, own: u64) -> bool {
         match &self.ex.crashes {
             Crashes::None => false,
@@ -851,7 +843,7 @@ where
             // Crash-count crashes are explicit crash-band branches, never
             // a side effect of an op pick.
             Crashes::UpTo(_) => false,
-            Crashes::Random { .. } => unreachable!("reductions are disabled under random crashes"),
+            Crashes::Random { .. } => unreachable!("Explorer::run rejects random crashes"),
         }
     }
 

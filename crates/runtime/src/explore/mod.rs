@@ -1,7 +1,7 @@
 //! Bounded model checking of model-world programs: exhaustive schedule
-//! enumeration with visited-state pruning, a commuting-reads reduction,
-//! snapshot-resume execution, and optional parallel frontier expansion —
-//! loom-style, but over the model world's virtual processes.
+//! enumeration with visited-state pruning, DPOR-style commutation, state
+//! quotients, snapshot-resume execution, and optional parallel frontier
+//! expansion — loom-style, but over the model world's virtual processes.
 //!
 //! # Enumeration (snapshot-resuming frontier search)
 //!
@@ -51,40 +51,28 @@
 //! *not* part of the state and may differ between the retained
 //! representative and a pruned schedule.
 //!
-//! # Commuting reads ([`Reduction::sleep_reads`])
-//!
-//! Two adjacent picks that both execute *pure reads* (`reg_read`,
-//! `snap_scan`) commute: neither changes memory, so both orders reach the
-//! same state. In the spirit of sleep sets, the explorer keeps only the
-//! canonical (pid-ascending) order of each such adjacent pair and skips
-//! the transposed sibling *before executing it* — a read's purity is a
-//! function of the reader's own operation log, so the snapshot knows
-//! every parked process's pending-operation purity. Crash plans are
-//! honored: a pick that would deliver a crash is never treated as a read,
-//! and the reduction is disabled under [`Crashes::Random`] (whose RNG
-//! state is not a function of the reached state — that policy is for
-//! sampling, not exhaustive exploration, and disables visited-state
-//! pruning too).
-//!
 //! # DPOR footprints ([`Reduction::dpor`])
 //!
-//! The commuting-reads rule generalizes to full **dependency
-//! footprints**: every parked process's pending operation is known to
-//! its snapshot as a [`Footprint`](crate::model_world::Footprint) —
-//! which object it touches, at which snapshot cell, and whether it is a
-//! pure read. Two adjacent *actions* commute when their footprints are
-//! independent (disjoint objects, both pure reads, or snapshot writes to
-//! disjoint cells) or when either is a crash delivery (a crash only
-//! flips the victim's liveness flags, which no operation reads, and
-//! leaves every other process's enabledness and own-step clock
-//! untouched). As with the read-read rule, only the canonical
+//! Every parked process's pending operation is known to its snapshot as
+//! a [`Footprint`](crate::model_world::Footprint) — which object it
+//! touches, at which snapshot cell, and whether it is a pure read — as
+//! a function of the process's own operation log, so the explorer can
+//! classify a pick *before executing it*. Two adjacent *actions*
+//! commute when their footprints are independent (disjoint objects,
+//! both pure reads, or snapshot writes to disjoint cells) or when
+//! either is a crash delivery (a crash only flips the victim's liveness
+//! flags, which no operation reads, and leaves every other process's
+//! enabledness and own-step clock untouched). Only the canonical
 //! (pid-ascending) order of each adjacent commuting pair is explored —
 //! the persistent-set-style backtracking of DPOR collapsed onto the
-//! layered frontier. Soundness is *differentially tested* against the
-//! unreduced enumeration on random programs (`tests/proptests.rs`) and
-//! against the non-DPOR reduction on the agreement fixtures, in the
-//! spirit of testing reductions against the unreduced semantics rather
-//! than assuming them.
+//! layered frontier; the transposed sibling is skipped before
+//! execution. Skips of two adjacent pure reads are counted separately
+//! (`sleep=` on the summary line, the sleep-set special case) from the
+//! rest (`dpor=`). Soundness is *differentially tested* against the
+//! same configuration with the flag off, on random programs
+//! (`tests/proptests.rs`) and on the agreement fixtures, in the spirit
+//! of testing reductions against the unreduced semantics rather than
+//! assuming them.
 //!
 //! # Observation quotient ([`Reduction::quotient_obs`])
 //!
@@ -135,8 +123,8 @@
 //! program — and is *differentially tested* like DPOR: summary-on vs
 //! summary-off violation sets and replay verdicts on random programs in
 //! `tests/proptests.rs`, plus a CI verdict gate over the bench catalogue
-//! (`MPCN_EXPLORE_VIEWSUM=0` selects [`Reduction::no_viewsum`], which
-//! reproduces the summary-free baselines byte for byte).
+//! (`MPCN_EXPLORE_VIEWSUM=0` clears the flag; the raw views are then
+//! folded exactly as plain scans fold them).
 //!
 //! # Bounded-memory frontier ([`Explorer::resident_ceiling`])
 //!
@@ -165,8 +153,10 @@
 //! with unspent budget (a crash sibling next to each op expansion in
 //! the frontier), exhausting all placements of up to `f` crashes — and
 //! because it names no pid, it is the one crash adversary the symmetry
-//! quotient stays live under (its fault-tolerance sweeps are gated in
-//! CI by `MPCN_EXPLORE_CRASHCOUNT`, see [`crashcount_from_env`]).
+//! quotient stays live under. [`Crashes::Random`] is a sampling policy
+//! whose RNG state is a function of the pick history, not of the
+//! reached state, so no reduction's argument applies to it and
+//! [`Explorer::run`] rejects it.
 //! [`ExploreLimits::max_depth`] bounds
 //! *sibling enumeration* depth for bounded-depth sweeps of larger
 //! configurations: runs still execute to completion (along the canonical
@@ -234,11 +224,11 @@ impl ExploreLimits {
 pub struct Reduction {
     /// Skip subtrees rooted at an already-visited global state.
     pub prune_visited: bool,
-    /// Keep only the canonical order of adjacent commuting pure reads.
-    pub sleep_reads: bool,
-    /// Generalize the commuting-reads rule to full dependency footprints
-    /// and crash commutation (DPOR-style persistent-set pruning; see the
-    /// [module docs](self)). Subsumes [`Reduction::sleep_reads`].
+    /// Keep only the canonical order of adjacent commuting actions —
+    /// independent footprints or crash deliveries (DPOR-style
+    /// persistent-set pruning; see the [module docs](self)). Read-read
+    /// skips are counted as [`ExploreStats::sleep_skips`], the rest as
+    /// [`ExploreStats::dpor_skips`].
     pub dpor: bool,
     /// Quotient state fingerprints by the observation abstraction:
     /// finished and crashed processes' observation histories are dropped
@@ -268,11 +258,11 @@ pub struct Reduction {
 }
 
 impl Reduction {
-    /// All reductions (the default).
+    /// All reductions (the default). Switch one off with
+    /// `Reduction { dpor: false, ..Reduction::full() }`.
     pub fn full() -> Self {
         Reduction {
             prune_visited: true,
-            sleep_reads: true,
             dpor: true,
             quotient_obs: true,
             view_summaries: true,
@@ -285,55 +275,11 @@ impl Reduction {
     pub fn none() -> Self {
         Reduction {
             prune_visited: false,
-            sleep_reads: false,
             dpor: false,
             quotient_obs: false,
             view_summaries: false,
             symmetry: false,
         }
-    }
-
-    /// Visited-state pruning and commuting pure reads only — the
-    /// pre-DPOR reduction set, kept as the differential baseline the
-    /// DPOR-vs-off tests and the CI verdict gate compare
-    /// [`Reduction::full`] against.
-    pub fn no_dpor() -> Self {
-        Reduction {
-            prune_visited: true,
-            sleep_reads: true,
-            dpor: false,
-            quotient_obs: false,
-            view_summaries: false,
-            symmetry: false,
-        }
-    }
-
-    /// Everything except view summaries (and the later symmetry
-    /// quotient) — the differential baseline the summary-on vs
-    /// summary-off tests and the `MPCN_EXPLORE_VIEWSUM=0` CI verdict
-    /// gate compare [`Reduction::full`] against. Reproduces the
-    /// summary-free PR 4 engine's state counts byte for byte (raw views
-    /// are folded exactly as plain scans fold them), which is why
-    /// [`Reduction::symmetry`] — added after that baseline was recorded
-    /// — stays pinned off here.
-    pub fn no_viewsum() -> Self {
-        Reduction {
-            prune_visited: true,
-            sleep_reads: true,
-            dpor: true,
-            quotient_obs: true,
-            view_summaries: false,
-            symmetry: false,
-        }
-    }
-
-    /// Everything except the process-identity symmetry quotient — the
-    /// differential baseline the symmetry-on vs symmetry-off tests and
-    /// the `MPCN_EXPLORE_SYMM=0` CI verdict gate compare
-    /// [`Reduction::full`] against. Reproduces the pre-symmetry (PR 5/6)
-    /// engine's state counts byte for byte.
-    pub fn no_symm() -> Self {
-        Reduction { symmetry: false, ..Reduction::full() }
     }
 }
 
@@ -404,7 +350,8 @@ pub struct Explorer {
 
 impl Explorer {
     /// An explorer for `n`-process programs with no crashes, default
-    /// limits, both reductions enabled, and single-threaded expansion.
+    /// limits, every reduction enabled ([`Reduction::full`]), and
+    /// single-threaded expansion.
     pub fn new(n: usize) -> Self {
         Explorer {
             n,
@@ -443,10 +390,10 @@ impl Explorer {
 
     /// Sets the crash adversary, exhausted alongside the schedules.
     ///
-    /// [`Crashes::Random`] disables both reductions: its RNG state is a
-    /// function of the pick history, not of the reached state, so neither
-    /// pruning argument applies (and random crashes are a sampling
-    /// policy, not an exhaustive one).
+    /// [`Crashes::Random`] is rejected by [`Explorer::run`]: its RNG
+    /// state is a function of the pick history, not of the reached
+    /// state, so no reduction's argument applies (and random crashes
+    /// are a sampling policy, not an exhaustive one).
     pub fn crashes(mut self, c: Crashes) -> Self {
         self.crashes = c;
         self
@@ -568,7 +515,7 @@ impl Explorer {
     /// [`crate::model_world::CODEC_VERSION`]) into an append-only
     /// segment file under `dir`, and every layer boundary atomically
     /// persists a manifest plus the frontier — so a killed sweep can be
-    /// continued with [`Explorer::resume_sweep`] and still produce the
+    /// continued with [`Explorer::resume_sweep_with_symmetry`] and still produce the
     /// byte-identical final report. Purely a storage policy:
     /// [`ExploreStats::summary`] is byte-identical with spilling on or
     /// off (the spill counters — [`ExploreStats::spilled`],
@@ -580,13 +527,6 @@ impl Explorer {
     /// anchors live on disk), so the ceiling genuinely bounds resident
     /// memory. The directory is created (or wiped) when the sweep
     /// starts.
-    ///
-    /// # Panics (at [`Explorer::run`])
-    ///
-    /// [`Crashes::Random`] cannot be combined with spilling: its RNG
-    /// stream position is not serializable, so a resumed sweep could
-    /// not reconstruct the adversary. Use [`Crashes::None`] or
-    /// [`Crashes::AtOwnStep`] for spilled sweeps.
     pub fn spill_to(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -596,7 +536,7 @@ impl Explorer {
     /// have been persisted, reporting incomplete — the deterministic
     /// stand-in for a mid-sweep kill. The sweep directory is left
     /// exactly as an interruption at that instant would leave it, ready
-    /// for [`Explorer::resume_sweep`]. Only meaningful with
+    /// for [`Explorer::resume_sweep_with_symmetry`]. Only meaningful with
     /// [`Explorer::spill_to`] (without it, halting just truncates the
     /// sweep).
     pub fn halt_after_layers(mut self, layers: u64) -> Self {
@@ -622,39 +562,23 @@ impl Explorer {
     /// storage-policy counters may legitimately differ, which is why
     /// they are off the summary line).
     ///
-    /// `make_bodies` and `check` must be the same fixture the original
-    /// sweep ran — the manifest records configuration and progress, not
-    /// code. Limits, reductions, and thread count are restored from the
-    /// manifest, **not** taken from a builder.
+    /// `make_bodies`, `check`, and `symmetry` must be the same fixture
+    /// the original sweep ran — the manifest records configuration and
+    /// progress, not code. The [`Symmetry`] spec is code too (a pair of
+    /// `fn` pointers), so the manifest records only *whether* the
+    /// original sweep had one ([`Explorer::symmetry`]); pass `None` for
+    /// sweeps started without. Limits, reductions, and thread count are
+    /// restored from the manifest, **not** taken from a builder.
     ///
     /// # Panics
     ///
     /// Panics if `dir` has no readable manifest or its contents are
     /// corrupt (a torn *tail* past the last barrier is fine — that is
     /// the crash case this exists for; a damaged committed prefix is
-    /// not).
-    pub fn resume_sweep<F, C>(dir: impl AsRef<Path>, make_bodies: F, check: C) -> ExploreReport
-    where
-        F: Fn() -> Vec<Body> + Sync,
-        C: Fn(&RunReport) -> Result<(), String>,
-    {
-        Explorer::resume_sweep_with_symmetry(dir, None, make_bodies, check)
-    }
-
-    /// [`Explorer::resume_sweep`] for sweeps that were started with a
-    /// pid-symmetry declaration ([`Explorer::symmetry`]): like the
-    /// bodies and the checker, the [`Symmetry`] spec is code (a pair of
-    /// `fn` pointers), so the manifest records only *whether* the
-    /// original sweep had one — the resumer must re-supply the same
-    /// spec here.
-    ///
-    /// # Panics
-    ///
-    /// In addition to the [`Explorer::resume_sweep`] cases, panics if
-    /// `symmetry` disagrees with the manifest about the spec's presence
-    /// — silently resuming a symmetric sweep without its spec (or vice
-    /// versa) would fingerprint future layers in a different state
-    /// space than the persisted visited set.
+    /// not), or if `symmetry` disagrees with the manifest about the
+    /// spec's presence — silently resuming a symmetric sweep without
+    /// its spec (or vice versa) would fingerprint future layers in a
+    /// different state space than the persisted visited set.
     pub fn resume_sweep_with_symmetry<F, C>(
         dir: impl AsRef<Path>,
         symmetry: Option<Symmetry>,
@@ -698,12 +622,17 @@ impl Explorer {
     /// run *outcomes* (decided values, crash/undecided status) for the
     /// violation set to be preserved — path statistics differ between a
     /// pruned schedule and its retained representative.
+    ///
     /// # Panics
     ///
     /// Panics if [`ExploreLimits::max_expansions`] is `0`: a zero work
     /// budget would silently explore nothing and report an empty,
     /// violation-free (but incomplete) sweep — an easy false green. Ask
-    /// for at least one expansion.
+    /// for at least one expansion. Also panics under
+    /// [`Crashes::Random`], a sampling policy the explorer cannot
+    /// exhaust (and whose RNG stream position a spilled sweep could not
+    /// persist); use [`Crashes::None`], [`Crashes::AtOwnStep`], or
+    /// [`Crashes::UpTo`].
     pub fn run<F, C>(&self, make_bodies: F, check: C) -> ExploreReport
     where
         F: Fn() -> Vec<Body> + Sync,
@@ -714,9 +643,9 @@ impl Explorer {
             "ExploreLimits::max_expansions = 0 explores nothing; set a positive work budget"
         );
         assert!(
-            self.spill_dir.is_none() || !matches!(self.crashes, Crashes::Random { .. }),
-            "Explorer::spill_to cannot persist Crashes::Random (its RNG stream position is not \
-             serializable); use Crashes::None or Crashes::AtOwnStep for spilled sweeps"
+            !matches!(self.crashes, Crashes::Random { .. }),
+            "Explorer cannot exhaust Crashes::Random (a sampling policy whose RNG state is not \
+             a function of the reached state); use Crashes::None, AtOwnStep, or UpTo"
         );
         frontier::Engine::new(self, &make_bodies, &check).run()
     }
@@ -735,28 +664,21 @@ pub fn threads_from_env(default: usize) -> usize {
 }
 
 /// Reduction set for sweeps driven by benches and CI (the full env-knob
-/// catalogue lives in `docs/EXPLORER.md`): [`Reduction::full`] by
-/// default; the `MPCN_EXPLORE_DPOR=0` environment variable selects
-/// [`Reduction::no_dpor`] and `MPCN_EXPLORE_VIEWSUM=0` clears
-/// [`Reduction::view_summaries`] (so `DPOR=0` alone already implies
-/// summaries off — [`Reduction::no_dpor`] *is* the pre-DPOR baseline),
-/// and `MPCN_EXPLORE_SYMM=0` clears [`Reduction::symmetry`] (under it
-/// the catalogue reproduces the pre-symmetry PR 5/6 lines byte for
-/// byte). The CI verdict gates run the explore bench in each mode and
-/// assert every common sweep reaches the same `complete`/`violations`
-/// verdict (state counts legitimately differ).
+/// catalogue lives in `docs/EXPLORER.md`): [`Reduction::full`] with one
+/// flag cleared per knob set to `0` — `MPCN_EXPLORE_DPOR` clears
+/// [`Reduction::dpor`], `MPCN_EXPLORE_VIEWSUM` clears
+/// [`Reduction::view_summaries`], and `MPCN_EXPLORE_SYMM` clears
+/// [`Reduction::symmetry`]. The CI verdict gates run the explore bench
+/// in each mode and assert every sweep reaches the same
+/// `complete`/`violations` verdict (state counts legitimately differ).
 pub fn reduction_from_env() -> Reduction {
-    let mut r = match std::env::var("MPCN_EXPLORE_DPOR").as_deref() {
-        Ok("0") => Reduction::no_dpor(),
-        _ => Reduction::full(),
-    };
-    if std::env::var("MPCN_EXPLORE_VIEWSUM").as_deref() == Ok("0") {
-        r.view_summaries = false;
+    let off = |knob: &str| std::env::var(knob).as_deref() == Ok("0");
+    Reduction {
+        dpor: !off("MPCN_EXPLORE_DPOR"),
+        view_summaries: !off("MPCN_EXPLORE_VIEWSUM"),
+        symmetry: !off("MPCN_EXPLORE_SYMM"),
+        ..Reduction::full()
     }
-    if std::env::var("MPCN_EXPLORE_SYMM").as_deref() == Ok("0") {
-        r.symmetry = false;
-    }
-    r
 }
 
 /// Whether sweeps driven by benches and CI should spill to disk: `true`
@@ -767,29 +689,6 @@ pub fn reduction_from_env() -> Reduction {
 /// invisible in the report.
 pub fn spill_from_env() -> bool {
     std::env::var("MPCN_EXPLORE_SPILL").as_deref() == Ok("1")
-}
-
-/// Whether benches and CI should run the [`Crashes::UpTo`] crash-count
-/// fault-tolerance sweeps: `true` unless the `MPCN_EXPLORE_CRASHCOUNT`
-/// environment variable is `0`. With the knob off the bench catalogue
-/// prints exactly its pre-crash-count lines (the new sweeps are simply
-/// absent), which is how the byte-identity of every prior baseline is
-/// checked; the CI `CRASHCOUNT` verdict gate runs the catalogue in both
-/// modes and asserts every common sweep reaches the same verdict.
-pub fn crashcount_from_env() -> bool {
-    std::env::var("MPCN_EXPLORE_CRASHCOUNT").as_deref() != Ok("0")
-}
-
-/// Whether benches and CI should run the TSO weak-memory sweeps
-/// ([`Explorer::tso`]): `true` unless the `MPCN_EXPLORE_TSO`
-/// environment variable is `0`. With the knob off the bench catalogue
-/// prints exactly its pre-TSO lines (the weak-memory sweeps are simply
-/// absent), which is how the byte-identity of every sequentially
-/// consistent baseline is checked; the CI `TSO` verdict gate runs the
-/// catalogue in both modes and asserts every common sweep reaches the
-/// same verdict.
-pub fn tso_from_env() -> bool {
-    std::env::var("MPCN_EXPLORE_TSO").as_deref() != Ok("0")
 }
 
 /// Exhaustively explores every schedule with **no reductions** — the
@@ -821,10 +720,13 @@ where
 /// used — the deterministic reproduction of a [`Violation`]. Builds its
 /// [`RunConfig`] through [`RunConfig::replay`], the exact constructor the
 /// explorer's internal counterexample confirmation uses, so repro
-/// configs cannot drift from sweep configs.
+/// configs cannot drift from sweep configs. Pass `tso = true` for
+/// counterexamples of a TSO exploration ([`Explorer::tso`]): the vector's
+/// flush-band choices then replay their flush placements.
 pub fn replay<F>(
     n: usize,
     crashes: Crashes,
+    tso: bool,
     max_steps: u64,
     make_bodies: F,
     choices: &[usize],
@@ -832,25 +734,7 @@ pub fn replay<F>(
 where
     F: Fn() -> Vec<Body>,
 {
-    ModelWorld::run(RunConfig::replay(n, crashes, max_steps, choices), make_bodies())
-}
-
-/// [`replay`] under the x86-TSO memory model — the reproduction path
-/// for counterexamples found by a TSO exploration ([`Explorer::tso`]):
-/// the same [`RunConfig::replay`] constructor, with the TSO flag the
-/// explorer's internal confirmation sets, so weak-memory repro configs
-/// cannot drift from sweep configs either.
-pub fn replay_tso<F>(
-    n: usize,
-    crashes: Crashes,
-    max_steps: u64,
-    make_bodies: F,
-    choices: &[usize],
-) -> RunReport
-where
-    F: Fn() -> Vec<Body>,
-{
-    ModelWorld::run(RunConfig::replay(n, crashes, max_steps, choices).tso(true), make_bodies())
+    ModelWorld::run(RunConfig::replay(n, crashes, max_steps, choices).tso(tso), make_bodies())
 }
 
 #[cfg(test)]
@@ -901,7 +785,7 @@ mod tests {
         assert!(!out.complete);
         // Replay the emitted schedule: it reproduces the violation
         // deterministically.
-        let report = replay(2, Crashes::None, 10_000, tas_bodies, &v.choices);
+        let report = replay(2, Crashes::None, false, 10_000, tas_bodies, &v.choices);
         assert_eq!(report.outcomes[1].decided(), Some(0));
         assert!(v.repro_snippet().starts_with("Schedule::Indexed"));
     }
@@ -1028,8 +912,9 @@ mod tests {
     }
 
     /// Readers followed by private writes: each transposed adjacent read
-    /// pair is skipped before execution, so the reduction expands
-    /// strictly fewer states than plain enumeration.
+    /// pair is skipped before execution (DPOR's read-read case, counted
+    /// as `sleep=`), so the reduction expands strictly fewer states than
+    /// plain enumeration.
     #[test]
     fn sleep_reduction_cuts_transposed_read_pairs() {
         let bodies = || {
@@ -1045,7 +930,7 @@ mod tests {
         };
         let unpruned = explore(2, Crashes::None, ExploreLimits::default(), bodies, |_r| Ok(()));
         let sleep = Explorer::new(2)
-            .reduction(Reduction { sleep_reads: true, ..Reduction::none() })
+            .reduction(Reduction { dpor: true, ..Reduction::none() })
             .run(bodies, |_r| Ok(()));
         assert_eq!(unpruned.runs(), 6, "C(4,2) interleavings");
         assert!(sleep.complete);
@@ -1066,8 +951,8 @@ mod tests {
         let (u, r) = (unpruned.violation().unwrap(), reduced.violation().unwrap());
         assert_eq!(u.message, r.message);
         // Both replay to the same outcome.
-        let ru = replay(2, Crashes::None, 100, tas_bodies, &u.choices);
-        let rr = replay(2, Crashes::None, 100, tas_bodies, &r.choices);
+        let ru = replay(2, Crashes::None, false, 100, tas_bodies, &u.choices);
+        let rr = replay(2, Crashes::None, false, 100, tas_bodies, &r.choices);
         assert_eq!(ru.outcomes[1], rr.outcomes[1]);
     }
 
@@ -1115,19 +1000,8 @@ mod tests {
         assert_eq!(out.violations.len(), 1);
     }
 
-    #[test]
-    fn random_crashes_disable_reductions() {
-        let out = Explorer::new(2)
-            .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
-            .run(tas_bodies, one_winner);
-        assert!(out.complete);
-        assert_eq!(out.stats.states_pruned, 0);
-        assert_eq!(out.stats.sleep_skips, 0);
-        assert_eq!(out.runs(), 2, "behaves as plain enumeration");
-    }
-
     /// The DPOR footprint rule skips transposed adjacent *writes to
-    /// disjoint objects* — pairs the pure-read rule cannot touch — and
+    /// disjoint objects* — pairs beyond the read-read case — and
     /// reaches the same verdict over strictly less work.
     #[test]
     fn dpor_skips_commuting_writes_before_execution() {
@@ -1142,7 +1016,9 @@ mod tests {
                 })
                 .collect()
         };
-        let without = Explorer::new(3).reduction(Reduction::no_dpor()).run(bodies, |_r| Ok(()));
+        let without = Explorer::new(3)
+            .reduction(Reduction { dpor: false, ..Reduction::full() })
+            .run(bodies, |_r| Ok(()));
         let with = Explorer::new(3).run(bodies, |_r| Ok(()));
         assert!(without.complete && with.complete);
         assert!(with.stats.dpor_skips > 0, "disjoint-register writes must be skipped");
@@ -1359,7 +1235,7 @@ mod tests {
         assert_eq!(in_memory.stats.spilled, 0);
         assert_eq!(in_memory.stats.store_reads, 0);
         // The finished sweep's manifest reconstructs the same report.
-        let reloaded = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let reloaded = Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
         assert_eq!(reloaded.stats.summary(), spilled.stats.summary());
         assert_eq!(reloaded.complete, spilled.complete);
         assert_eq!(reloaded.violations, spilled.violations);
@@ -1385,7 +1261,7 @@ mod tests {
             halted.stats.expansions < baseline.stats.expansions,
             "the halt must actually interrupt the sweep"
         );
-        let resumed = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
         assert_eq!(baseline.complete, resumed.complete);
         assert_eq!(baseline.violations, resumed.violations);
@@ -1430,7 +1306,7 @@ mod tests {
             halted.violations.len() < baseline.violations.len(),
             "deeper runs must still be outstanding at the halt"
         );
-        let resumed = Explorer::resume_sweep(&dir, uneven_bodies, check);
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, uneven_bodies, check);
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
         assert_eq!(baseline.violations, resumed.violations);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1458,7 +1334,7 @@ mod tests {
                 .expect("sweep file exists");
             f.write_all(&[0xAB; 13]).expect("append torn tail");
         }
-        let resumed = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
         assert_eq!(baseline.complete, resumed.complete);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1491,7 +1367,7 @@ mod tests {
             .halt_after_layers(3)
             .run(spill_bodies, |_r| Ok(()));
         assert!(!halted.complete, "a halted sweep is not a proof");
-        let resumed = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
         assert_eq!(baseline.complete, resumed.complete);
         assert_eq!(baseline.violations, resumed.violations);
@@ -1522,28 +1398,35 @@ mod tests {
         assert!(baseline.stats.flush_branches > 0, "buffered writes must branch on flushes");
         let halted = sweep(true);
         assert!(!halted.complete, "a halted sweep is not a proof");
-        let resumed = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
         assert_eq!(baseline.complete, resumed.complete);
         assert_eq!(baseline.violations, resumed.violations);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A v3 manifest (pre-TSO key set) must be rejected whole, not
-    /// partially decoded: it cannot describe a TSO sweep (no `tso`
-    /// configuration key, no flush-head footprints in its node
-    /// records) or the statistics a resumed summary line needs.
+    /// Manifests older than v5 must be rejected whole, not partially
+    /// decoded: a v3 manifest cannot describe a TSO sweep (no `tso`
+    /// configuration key, no flush-head footprints in its node records),
+    /// and a v4 manifest still carries the retired `sleep_reads`
+    /// reduction key.
     #[test]
-    #[should_panic(expected = "unsupported manifest version 3")]
+    #[should_panic(expected = "unsupported manifest version 4")]
     fn resume_rejects_older_manifest_versions() {
-        let dir = sweep_dir("v3-reject");
-        Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
-        let manifest = dir.join("MANIFEST");
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=4"), "current manifests are v4");
-        std::fs::write(&manifest, text.replace("manifest_version=4", "manifest_version=3"))
-            .expect("rewrite manifest");
-        Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        let resume_as = |old: u64| {
+            let dir = sweep_dir(&format!("v{old}-reject"));
+            Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
+            let manifest = dir.join("MANIFEST");
+            let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+            assert!(text.contains("manifest_version=5"), "current manifests are v5");
+            let downgraded = text.replace("manifest_version=5", &format!("manifest_version={old}"));
+            std::fs::write(&manifest, downgraded).expect("rewrite manifest");
+            Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()))
+        };
+        let v3 = std::panic::catch_unwind(|| resume_as(3)).expect_err("v3 must be rejected");
+        let message = v3.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(message.contains("unsupported manifest version 3"), "{message}");
+        resume_as(4);
     }
 
     /// A manifest whose `visited_len` is not a multiple of the 8-byte
@@ -1572,17 +1455,36 @@ mod tests {
             ),
         )
         .expect("rewrite manifest");
-        Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+        Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
     }
 
+    /// Random crashes are a sampling policy, not an exhaustible one: the
+    /// explorer refuses them up front instead of silently switching
+    /// every reduction off.
     #[test]
-    #[should_panic(expected = "cannot persist Crashes::Random")]
-    fn spilling_rejects_random_crashes() {
-        let dir = sweep_dir("random-reject");
+    #[should_panic(expected = "cannot exhaust Crashes::Random")]
+    fn run_rejects_random_crashes() {
         Explorer::new(2)
             .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
-            .spill_to(&dir)
             .run(tas_bodies, one_winner);
+    }
+
+    /// A spilled sweep hits the same up-front rejection, before it
+    /// writes anything to the spill directory.
+    #[test]
+    #[should_panic(expected = "cannot exhaust Crashes::Random")]
+    fn spilling_rejects_random_crashes() {
+        let dir = sweep_dir("random-reject");
+        let spilled = std::panic::catch_unwind(|| {
+            Explorer::new(2)
+                .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
+                .spill_to(&dir)
+                .run(tas_bodies, one_winner)
+        });
+        assert!(!dir.join("MANIFEST").exists(), "the rejection must precede any spill");
+        if let Err(payload) = spilled {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     /// Every thread count must produce the byte-identical report — the

@@ -34,8 +34,9 @@ pub struct ExploreStats {
     /// Expansions that reached an already-visited state (each cuts the
     /// entire subtree below it).
     pub states_pruned: u64,
-    /// Sibling subtrees skipped — before execution — by the
-    /// commuting-reads (sleep-set-style) reduction.
+    /// Sibling subtrees skipped — before execution — by the DPOR rule's
+    /// read-read case (two adjacent pure reads; the sleep-set special
+    /// case of [`super::Reduction::dpor`]).
     pub sleep_skips: u64,
     /// Sibling subtrees skipped — before execution — by the DPOR
     /// footprint rule beyond the pure-read special case: adjacent
@@ -168,9 +169,10 @@ impl ExploreStats {
     /// ([`ExploreStats::symm_enabled`]), and as the literal `symm=off`
     /// when it was requested but gated off
     /// ([`ExploreStats::symm_requested`]); sweeps that never asked for
-    /// it — every asymmetric program, every `no_symm()` /
-    /// `MPCN_EXPLORE_SYMM=0` baseline — print byte for byte what the
-    /// pre-symmetry engine printed. The `crashes=` field appears only
+    /// it — every asymmetric program, every sweep with
+    /// [`super::Reduction::symmetry`] off (`MPCN_EXPLORE_SYMM=0`) — print
+    /// byte for byte what the pre-symmetry engine printed. The
+    /// `crashes=` field appears only
     /// under the crash-count adversary
     /// ([`ExploreStats::crashcount_enabled`]), and the `flushes=` field
     /// only under the TSO memory model ([`ExploreStats::tso_enabled`])

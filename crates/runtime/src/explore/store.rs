@@ -44,8 +44,8 @@
 //! ([`Crashes::None`] / [`Crashes::AtOwnStep`] / [`Crashes::UpTo`] —
 //! for the crash-count adversary the count *is* the whole state, so a
 //! resumed sweep re-branches with exactly the remaining budget).
-//! [`Crashes::Random`] carries RNG stream position and is rejected
-//! before any spill.
+//! [`Crashes::Random`] carries RNG stream position; `Explorer::run`
+//! rejects it before any spill.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -72,10 +72,12 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// configuration key, the `flush_branches` / `tso_enabled` running
 /// statistics, and — in the frontier state file — per-node
 /// store-buffer flush-head footprints plus the `Flush` incoming-action
-/// tag. An older manifest cannot describe a TSO sweep (nor carry the
-/// fields a resumed summary line needs), so older manifests are
-/// rejected whole rather than partially decoded.
-const MANIFEST_VERSION: u64 = 4;
+/// tag. v5 dropped the `sleep_reads` reduction key (the read-read
+/// rule is a case of `dpor`). An older manifest cannot describe a TSO
+/// sweep, carries a reduction flag that no longer exists, or lacks the
+/// fields a resumed summary line needs, so older manifests are rejected
+/// whole rather than partially decoded.
+const MANIFEST_VERSION: u64 = 5;
 
 /// Where a stored checkpoint snapshot lives — what [`SnapshotStore::put`]
 /// returns and a frontier anchor carries.
@@ -583,7 +585,6 @@ fn render_manifest(
     kv("max_steps", ex.limits.max_steps.to_string());
     kv("max_depth", (ex.limits.max_depth as u64).to_string());
     kv("prune_visited", ex.reduction.prune_visited.to_string());
-    kv("sleep_reads", ex.reduction.sleep_reads.to_string());
     kv("dpor", ex.reduction.dpor.to_string());
     kv("quotient_obs", ex.reduction.quotient_obs.to_string());
     kv("view_summaries", ex.reduction.view_summaries.to_string());
@@ -732,7 +733,6 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         },
         reduction: Reduction {
             prune_visited: m.bool("prune_visited")?,
-            sleep_reads: m.bool("sleep_reads")?,
             dpor: m.bool("dpor")?,
             quotient_obs: m.bool("quotient_obs")?,
             view_summaries: m.bool("view_summaries")?,

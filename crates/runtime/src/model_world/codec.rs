@@ -616,6 +616,11 @@ impl Snapshot {
             return Err(CodecError::UnsupportedVersion(version));
         }
         let n = r.usize()?;
+        // A corrupt header can claim any process count: cap the
+        // preallocations like every other length read from the bytes, so
+        // a bogus `n` fails as truncated input instead of aborting on a
+        // huge allocation.
+        let cap = n.min(1 << 16);
         let track = r.bool()?;
         let viewsum = r.bool()?;
         let tso = r.bool()?;
@@ -626,11 +631,11 @@ impl Snapshot {
             objects.insert(key, decode_object(&mut r, track)?);
         }
         let mem_fp = r.u64()?;
-        let mut obs_fp = Vec::with_capacity(n);
+        let mut obs_fp = Vec::with_capacity(cap);
         for _ in 0..n {
             obs_fp.push(r.u64()?);
         }
-        let mut logs = Vec::with_capacity(n);
+        let mut logs = Vec::with_capacity(cap);
         for _ in 0..n {
             let len = r.usize()?;
             let mut log = Vec::with_capacity(len.min(1 << 16));
@@ -642,11 +647,11 @@ impl Snapshot {
             }
             logs.push(Arc::new(log));
         }
-        let mut finished = Vec::with_capacity(n);
-        let mut crashed = Vec::with_capacity(n);
-        let mut results = Vec::with_capacity(n);
-        let mut pending_op = Vec::with_capacity(n);
-        let mut own_steps = Vec::with_capacity(n);
+        let mut finished = Vec::with_capacity(cap);
+        let mut crashed = Vec::with_capacity(cap);
+        let mut results = Vec::with_capacity(cap);
+        let mut pending_op = Vec::with_capacity(cap);
+        let mut own_steps = Vec::with_capacity(cap);
         for _ in 0..n {
             finished.push(r.bool()?);
             crashed.push(r.bool()?);
@@ -658,7 +663,7 @@ impl Snapshot {
             });
             own_steps.push(r.u64()?);
         }
-        let mut buffers = Vec::with_capacity(n);
+        let mut buffers = Vec::with_capacity(cap);
         for _ in 0..n {
             let blen = r.usize()?;
             let mut buf = Vec::with_capacity(blen.min(1 << 16));
@@ -791,6 +796,13 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(Snapshot::decode(&trailing), Err(CodecError::TrailingBytes(1))));
+        // A huge header process count (4-byte magic, 2-byte version, then
+        // `n` as u64 LE) must fail as a decode error, not panic on
+        // capacity overflow or abort on a failed allocation.
+        let mut huge_n = bytes.clone();
+        assert_eq!(huge_n[6..14], 2u64.to_le_bytes());
+        huge_n[6..14].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        assert!(Snapshot::decode(&huge_n).is_err());
     }
 
     #[test]

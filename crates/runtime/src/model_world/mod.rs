@@ -101,59 +101,6 @@ impl Outcome {
     }
 }
 
-/// One scheduling decision of a run, as recorded under
-/// [`RunConfig::record_decisions`]: who was schedulable, which of them were
-/// parked before a *pure read* (a `reg_read` or `snap_scan`, operations
-/// that cannot change shared memory), who was picked, and whether the pick
-/// delivered an adversary crash instead of a step.
-///
-/// The exhaustive explorer's sleep-set-style reduction uses these records
-/// to recognize adjacent read–read transpositions ([`crate::explore`]).
-/// Process sets are bitmasks (bit `p` = process `p`), so decision
-/// recording requires `n ≤ 64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Bitmask of processes alive (schedulable) at this decision.
-    pub alive: u64,
-    /// Bitmask of alive processes whose pending operation is a pure read.
-    pub reads: u64,
-    /// The process picked.
-    pub picked: Pid,
-    /// `true` if the pick delivered an adversary crash instead of a step.
-    pub crash: bool,
-}
-
-impl Decision {
-    /// The pid of the `idx`-th alive process (alive pids in increasing
-    /// order — the order [`crate::sched::Schedule::Indexed`] indexes into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not smaller than the number of alive processes.
-    pub fn nth_alive(&self, idx: usize) -> Pid {
-        let mut seen = 0;
-        for p in 0..64 {
-            if self.alive & (1 << p) != 0 {
-                if seen == idx {
-                    return p;
-                }
-                seen += 1;
-            }
-        }
-        panic!("alive-set index {idx} out of range (alive mask {:#x})", self.alive);
-    }
-
-    /// `true` if `pid` was parked before a pure read at this decision.
-    pub fn is_pending_read(&self, pid: Pid) -> bool {
-        self.reads & (1 << pid) != 0
-    }
-
-    /// `true` if the pick completed a pure read as a shared-memory step.
-    pub fn picked_a_read(&self) -> bool {
-        !self.crash && self.is_pending_read(self.picked)
-    }
-}
-
 /// Result of a [`ModelWorld::run`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -181,10 +128,6 @@ pub struct RunReport {
     /// fingerprints mean equal futures under equal schedule suffixes —
     /// the prefix-pruning invariant of [`crate::explore`].
     pub state_hashes: Option<Vec<u64>>,
-    /// Every scheduling decision in order, if requested via
-    /// [`RunConfig::record_decisions`] (index-aligned with
-    /// [`RunReport::branching`]).
-    pub decisions: Option<Vec<Decision>>,
     /// Completed shared-memory operations per object-kind namespace —
     /// the cost breakdown of a run (e.g. how many steps went to the BG
     /// simulation's input agreements vs. snapshot agreements vs. `MEM`).
@@ -241,7 +184,6 @@ pub struct RunConfig {
     record_trace: bool,
     record_branching: bool,
     record_state_hashes: bool,
-    record_decisions: bool,
     view_summaries: bool,
     tso: bool,
 }
@@ -258,7 +200,6 @@ impl RunConfig {
             record_trace: false,
             record_branching: false,
             record_state_hashes: false,
-            record_decisions: false,
             view_summaries: false,
             tso: false,
         }
@@ -314,13 +255,6 @@ impl RunConfig {
     /// fingerprint bookkeeping, so leave it off for plain runs.
     pub fn record_state_hashes(mut self, yes: bool) -> Self {
         self.record_state_hashes = yes;
-        self
-    }
-
-    /// Records every scheduling decision ([`Decision`]) — alive set,
-    /// pending pure reads, pick, crash flag. Requires `n ≤ 64`.
-    pub fn record_decisions(mut self, yes: bool) -> Self {
-        self.record_decisions = yes;
         self
     }
 
@@ -507,9 +441,6 @@ struct State {
     /// process has the same observation fingerprint (and memory agrees)
     /// are in behaviorally identical global states.
     obs_fp: Vec<u64>,
-    /// `pending_read[p]`: process `p` is parked before a pure read (a
-    /// `reg_read` or `snap_scan`); valid while `waiting[p]`.
-    pending_read: Vec<bool>,
     /// Incrementally maintained XOR accumulator over
     /// `hash(key, object-content)` of every object in `objects` —
     /// maintained as a delta on each write instead of rehashing the full
@@ -886,7 +817,6 @@ impl ModelWorld {
             own_steps: vec![0; n],
             trace: Vec::new(),
             obs_fp: vec![0; n],
-            pending_read: vec![false; n],
             mem_fp: 0,
             track,
             viewsum,
@@ -927,11 +857,6 @@ impl ModelWorld {
     pub fn run(cfg: RunConfig, bodies: Vec<Body>) -> RunReport {
         assert_eq!(bodies.len(), cfg.n(), "one body per process required");
         assert!(
-            !cfg.record_decisions || cfg.n() <= 64,
-            "decision recording uses 64-bit process masks (n = {})",
-            cfg.n()
-        );
-        assert!(
             !cfg.tso || matches!(cfg.schedule, Schedule::Indexed { .. }),
             "TSO gated runs require Schedule::Indexed (no other policy schedules flushes)"
         );
@@ -958,9 +883,8 @@ impl ModelWorld {
         let mut timed_out = false;
         let mut branching: Vec<usize> = Vec::new();
         let mut state_hashes: Vec<u64> = Vec::new();
-        let mut decisions: Vec<Decision> = Vec::new();
         loop {
-            let (alive, reads_mask, flushable): (Vec<Pid>, u64, Vec<Pid>) = {
+            let (alive, flushable): (Vec<Pid>, Vec<Pid>) = {
                 // Wait until every process is settled (parked at its gate,
                 // finished, or crashed): the alive set is then a pure
                 // function of the schedule prefix, so runs are replayable.
@@ -983,19 +907,12 @@ impl ModelWorld {
                 }
                 let alive: Vec<Pid> =
                     (0..n).filter(|&p| !st.finished[p] && !st.crashed[p]).collect();
-                // Only built under decision recording, which asserts
-                // n ≤ 64 — the shift would overflow for larger worlds.
-                let reads_mask = if cfg.record_decisions {
-                    alive.iter().filter(|&&p| st.pending_read[p]).fold(0u64, |m, &p| m | 1 << p)
-                } else {
-                    0
-                };
                 let flushable: Vec<Pid> = if cfg.tso {
                     (0..n).filter(|&p| !st.buffers[p].is_empty()).collect()
                 } else {
                     Vec::new()
                 };
-                (alive, reads_mask, flushable)
+                (alive, flushable)
             };
             // A TSO run is terminal only once every buffer has drained:
             // undelivered writes still change shared memory.
@@ -1021,15 +938,6 @@ impl ModelWorld {
                         picks += 1;
                         steps += 1;
                         world.inner.st.lock().flush_head(p);
-                        if cfg.record_decisions {
-                            let alive_mask = alive.iter().fold(0u64, |m, &p| m | 1 << p);
-                            decisions.push(Decision {
-                                alive: alive_mask,
-                                reads: reads_mask,
-                                picked: p,
-                                crash: false,
-                            });
-                        }
                         continue;
                     }
                     Pick::Crash(p) => (p, true),
@@ -1045,15 +953,6 @@ impl ModelWorld {
             // otherwise the crash policy decides, as always.
             let crashes_now =
                 if crash_pick { crash.force_crash() } else { crash.should_crash(pid, own) };
-            if cfg.record_decisions {
-                let alive_mask = alive.iter().fold(0u64, |m, &p| m | 1 << p);
-                decisions.push(Decision {
-                    alive: alive_mask,
-                    reads: reads_mask,
-                    picked: pid,
-                    crash: crashes_now,
-                });
-            }
             if crashes_now {
                 world.inner.st.lock().adversary_crash[pid] = true;
                 world.deliver_crash(pid);
@@ -1096,7 +995,6 @@ impl ModelWorld {
             trace: cfg.record_trace.then(|| std::mem::take(&mut st.trace)),
             branching: cfg.record_branching.then_some(branching),
             state_hashes: cfg.record_state_hashes.then_some(state_hashes),
-            decisions: cfg.record_decisions.then_some(decisions),
             ops_by_kind,
         }
     }
@@ -1194,7 +1092,6 @@ impl ModelWorld {
                 snapshot::ResumeGate::Fresh => {}
             }
         } else if !st.free {
-            st.pending_read[pid] = footprint.pure_read;
             st.waiting[pid] = true;
             self.inner.sched_cv.notify_one();
             loop {
@@ -1560,9 +1457,8 @@ mod tests {
 
     #[test]
     fn worlds_larger_than_64_processes_run_without_decision_recording() {
-        // The 64-bit decision masks only exist under record_decisions;
-        // plain runs must keep working at any n (regression: the
-        // reads-mask fold used to shift by pid unconditionally).
+        // Gated runs have no process-count bound (regression: a 64-bit
+        // per-decision reads mask used to shift by pid unconditionally).
         let n = 65;
         let cfg = RunConfig::new(n).schedule(Schedule::RoundRobin);
         let bodies = (0..n)
@@ -1575,14 +1471,6 @@ mod tests {
             .collect();
         let report = ModelWorld::run(cfg, bodies);
         assert_eq!(report.decided_values().len(), n);
-    }
-
-    #[test]
-    #[should_panic(expected = "decision recording uses 64-bit process masks")]
-    fn decision_recording_rejects_large_worlds() {
-        let cfg = RunConfig::new(65).record_decisions(true);
-        let bodies = (0..65).map(|i| body(move |_env| i)).collect();
-        ModelWorld::run(cfg, bodies);
     }
 
     #[test]
@@ -1721,7 +1609,6 @@ mod tests {
             trace: None,
             branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind: vec![],
         };
         assert_eq!(report.decided_values(), vec![3, 3]);

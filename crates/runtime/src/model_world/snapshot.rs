@@ -247,15 +247,9 @@ impl Snapshot {
         self.buffers[pid].first().map(BufferedWrite::flush_footprint)
     }
 
-    /// `true` if alive `pid` is parked before a pure read (`reg_read` or
-    /// `snap_scan`) — a function of its own operation log only.
-    pub fn pending_read(&self, pid: Pid) -> bool {
-        self.pending_op[pid].is_some_and(|f| f.pure_read)
-    }
-
     /// The dependency footprint of the operation alive `pid` is parked
-    /// before (`None` once `pid` finished or crashed) — like the purity
-    /// bit, a function of its own operation log only. The explorer's
+    /// before (`None` once `pid` finished or crashed) — a function of its
+    /// own operation log only. The explorer's
     /// DPOR-style reduction reads every enabled step's footprint from
     /// here.
     pub fn pending_footprint(&self, pid: Pid) -> Option<Footprint> {
@@ -594,7 +588,6 @@ impl Snapshot {
             trace: None,
             branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind,
         }
     }
@@ -625,7 +618,6 @@ impl ModelWorld {
             own_steps: snap.own_steps.clone(),
             trace: Vec::new(),
             obs_fp: snap.obs_fp.clone(),
-            pending_read: (0..n).map(|p| snap.pending_read(p)).collect(),
             mem_fp: snap.mem_fp,
             track: snap.track,
             viewsum: snap.viewsum,
@@ -881,7 +873,10 @@ mod tests {
         let snap = ModelWorld::snapshot_root(3, true, false, writer_bodies(3, 2));
         assert_eq!(snap.alive(), vec![0, 1, 2]);
         assert_eq!(snap.steps(), 0);
-        assert!(!snap.pending_read(0), "first op is a snap_write");
+        assert!(
+            !snap.pending_footprint(0).is_some_and(|f| f.pure_read),
+            "first op is a snap_write"
+        );
         assert!(!snap.is_terminal());
     }
 
@@ -948,9 +943,9 @@ mod tests {
             })]
         };
         let snap = ModelWorld::snapshot_root(n, false, false, bodies());
-        assert!(!snap.pending_read(0));
+        assert!(!snap.pending_footprint(0).is_some_and(|f| f.pure_read));
         let snap = ModelWorld::resume_from(&snap, 0, bodies().remove(0));
-        assert!(snap.pending_read(0), "parked before the scan");
+        assert!(snap.pending_footprint(0).is_some_and(|f| f.pure_read), "parked before the scan");
         let snap = ModelWorld::resume_from(&snap, 0, bodies().remove(0));
         assert!(snap.is_terminal());
         assert_eq!(snap.steps(), 2);

@@ -8,11 +8,11 @@
 //! or the per-location total order of stores.
 //!
 //! Every relaxed outcome the sweeps find is replayed through the gated
-//! engine ([`replay_tso`] builds the exact `RunConfig::replay` the
+//! engine ([`replay`] with `tso = true` builds the exact `RunConfig::replay` the
 //! explorer's internal counterexample confirmation uses), so the
 //! counterexamples here double as end-to-end replay fixtures.
 
-use mpcn_runtime::explore::{replay_tso, ExploreLimits, Explorer, Reduction};
+use mpcn_runtime::explore::{replay, ExploreLimits, Explorer, Reduction};
 use mpcn_runtime::model_world::{Body, ModelWorld, RunReport};
 use mpcn_runtime::sched::Crashes;
 use mpcn_runtime::world::{Env, ObjKey};
@@ -137,8 +137,14 @@ fn sb_relaxation_is_reachable_under_tso_and_replays() {
     assert_eq!(out.stats.depth_limited_runs, 0);
     assert_eq!(out.violations.len(), 18, "TSO must reach the relaxed SB outcome r0 = r1 = 0");
     for v in &out.violations {
-        let rerun =
-            replay_tso(2, Crashes::None, ExploreLimits::default().max_steps, sb_bodies, &v.choices);
+        let rerun = replay(
+            2,
+            Crashes::None,
+            true,
+            ExploreLimits::default().max_steps,
+            sb_bodies,
+            &v.choices,
+        );
         assert_eq!(
             rerun.decided_values(),
             vec![0, 0],
@@ -247,8 +253,14 @@ fn buffered_write_of_a_crashed_process_still_flushes() {
         "a flush after the writer's crash must make the store visible"
     );
     for v in &out.violations {
-        let rerun =
-            replay_tso(2, Crashes::UpTo(1), ExploreLimits::default().max_steps, bodies, &v.choices);
+        let rerun = replay(
+            2,
+            Crashes::UpTo(1),
+            true,
+            ExploreLimits::default().max_steps,
+            bodies,
+            &v.choices,
+        );
         assert_eq!(rerun.crashed_pids(), vec![0]);
         assert_eq!(rerun.outcomes[1].decided(), Some(1));
     }

@@ -256,10 +256,10 @@ proptest! {
         prop_assert_eq!(run(seed), run(seed));
     }
 
-    /// Reduced exploration (visited-state pruning + commuting reads)
-    /// finds exactly the same violation set as the unpruned reference on
-    /// randomly generated small programs, for an outcome-only checker —
-    /// and never runs more schedules doing so.
+    /// Fully reduced exploration ([`Reduction::full`]) finds exactly the
+    /// same violation set as the unpruned reference on randomly generated
+    /// small programs, for an outcome-only checker — and never runs more
+    /// schedules doing so.
     #[test]
     fn reductions_preserve_violation_sets(seed in 0u64..1_000_000, n in 2usize..4, ops in 1usize..3) {
         let make = move || small_program(seed, n, ops);
@@ -298,9 +298,9 @@ proptest! {
 
     /// Differential DPOR test in the spirit of testing reductions against
     /// the unreduced semantics: on random small programs (n ≤ 3, schedule
-    /// depth ≤ 8), DPOR-on exploration (footprint commutation + the
-    /// observation quotient) and DPOR-off exploration (the pre-DPOR
-    /// reduction set) must produce identical violation *sets* and
+    /// depth ≤ 8), DPOR-on exploration ([`Reduction::full`]) and
+    /// DPOR-off exploration (the same set with [`Reduction::dpor`]
+    /// cleared) must produce identical violation *sets* and
     /// identical *replay verdicts* — every reported schedule, replayed
     /// through the gated reference engine, must still trip the checker —
     /// under one and two expansion workers alike. DPOR never adds work.
@@ -336,7 +336,7 @@ proptest! {
                 // violation through the gated reference engine.
                 for v in &out.violations {
                     let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                        mpcn_runtime::explore::replay(n, Crashes::None, false, 1_000, make, &v.choices);
                     prop_assert!(
                         check(&replayed).is_err(),
                         "replay verdict lost (seed {seed}, choices {:?})",
@@ -350,7 +350,7 @@ proptest! {
                 Ok((out.stats.expansions, msgs))
             };
             let (dpor_work, dpor) = collect(Reduction::full())?;
-            let (reference_work, reference) = collect(Reduction::no_dpor())?;
+            let (reference_work, reference) = collect(Reduction { dpor: false, ..Reduction::full() })?;
             prop_assert_eq!(
                 dpor, reference,
                 "DPOR must preserve the violation set (seed {}, threads {})", seed, threads
@@ -363,7 +363,7 @@ proptest! {
     /// gate: on random small programs (whose alphabet includes scans
     /// through a lossy declared summary), summary-on exploration
     /// ([`Reduction::full`]) and summary-off exploration
-    /// ([`Reduction::no_viewsum`]) must produce identical violation
+    /// ([`Reduction::view_summaries`] cleared) must produce identical violation
     /// *sets* and identical *replay verdicts* — every reported schedule,
     /// replayed through the gated reference engine, must still trip the
     /// checker — under one and two expansion workers alike. Summaries
@@ -398,7 +398,7 @@ proptest! {
                 );
                 for v in &out.violations {
                     let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                        mpcn_runtime::explore::replay(n, Crashes::None, false, 1_000, make, &v.choices);
                     prop_assert!(
                         check(&replayed).is_err(),
                         "replay verdict lost (seed {seed}, choices {:?})",
@@ -412,7 +412,7 @@ proptest! {
                 Ok((out.stats.expansions, msgs))
             };
             let (summarized_work, summarized) = collect(Reduction::full())?;
-            let (reference_work, reference) = collect(Reduction::no_viewsum())?;
+            let (reference_work, reference) = collect(Reduction { view_summaries: false, ..Reduction::full() })?;
             prop_assert_eq!(
                 summarized, reference,
                 "view summaries must preserve the violation set (seed {}, threads {})",
@@ -426,7 +426,7 @@ proptest! {
     /// applied to the process-identity quotient: on random
     /// pid-symmetric programs with the identity relabeling, symm-on
     /// exploration ([`Reduction::full`]) and symm-off exploration
-    /// ([`Reduction::no_symm`], the PR 5/6 reduction set) must produce
+    /// ([`Reduction::symmetry`] cleared) must produce
     /// identical violation *sets* and identical *replay verdicts* —
     /// every reported schedule, replayed through the gated reference
     /// engine, must still trip the checker — under one and two
@@ -464,7 +464,7 @@ proptest! {
                 );
                 for v in &out.violations {
                     let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                        mpcn_runtime::explore::replay(n, Crashes::None, false, 1_000, make, &v.choices);
                     prop_assert!(
                         check(&replayed).is_err(),
                         "replay verdict lost (seed {seed}, choices {:?})",
@@ -478,9 +478,9 @@ proptest! {
                 Ok((out.stats.expansions, out.stats.symm_enabled, msgs))
             };
             let (symm_work, symm_active, symm) = collect(Reduction::full())?;
-            let (reference_work, reference_active, reference) = collect(Reduction::no_symm())?;
+            let (reference_work, reference_active, reference) = collect(Reduction { symmetry: false, ..Reduction::full() })?;
             prop_assert!(symm_active, "spec + full reduction must activate the quotient");
-            prop_assert!(!reference_active, "no_symm must keep the quotient off");
+            prop_assert!(!reference_active, "a cleared flag must keep the quotient off");
             prop_assert_eq!(
                 symm, reference,
                 "symmetry must preserve the violation set (seed {}, threads {})", seed, threads
@@ -538,6 +538,7 @@ proptest! {
                 let replayed = mpcn_runtime::explore::replay(
                     n,
                     crashes.clone(),
+                    false,
                     max_steps,
                     make,
                     &v.choices,
@@ -555,7 +556,7 @@ proptest! {
             Ok(msgs)
         };
         let dpor = collect(Reduction::full())?;
-        let reference = collect(Reduction::no_dpor())?;
+        let reference = collect(Reduction { dpor: false, ..Reduction::full() })?;
         prop_assert_eq!(
             dpor, reference,
             "DPOR must preserve crash/timeout verdicts (seed {})", seed
@@ -877,7 +878,7 @@ proptest! {
         let baseline = sweep(Explorer::new(n));
         let dir = sweep_dir("prop-resume");
         let _ = sweep(Explorer::new(n).spill_to(&dir).halt_after_layers(halt));
-        let out = Explorer::resume_sweep(&dir, make, check);
+        let out = Explorer::resume_sweep_with_symmetry(&dir, None, make, check);
         let resumed: (String, bool, Vec<(Vec<usize>, String)>) = (
             out.stats.summary(),
             out.complete,
@@ -1026,6 +1027,7 @@ proptest! {
                 let replayed = mpcn_runtime::explore::replay(
                     n,
                     Crashes::UpTo(f),
+                    false,
                     1_000,
                     make,
                     &v.choices,

@@ -70,7 +70,7 @@ fn main() {
             f.write_all(&[0xEF; 21]).expect("append torn tail");
         }
 
-        let resumed = Explorer::resume_sweep(&dir, bodies, check);
+        let resumed = Explorer::resume_sweep_with_symmetry(&dir, None, bodies, check);
         println!("resumed@{halt_after}   {}", resumed.summary_line("fig1 n=4"));
         assert_eq!(
             reference.stats.summary(),
@@ -80,7 +80,7 @@ fn main() {
         assert_eq!(reference.complete, resumed.complete);
         assert_eq!(reference.violations, resumed.violations);
 
-        let reloaded = Explorer::resume_sweep(&dir, bodies, check);
+        let reloaded = Explorer::resume_sweep_with_symmetry(&dir, None, bodies, check);
         assert_eq!(
             resumed.stats.summary(),
             reloaded.stats.summary(),
