@@ -7,38 +7,54 @@
 //! [`Snapshot`] plus its choice path, alive set, and per-path adversary
 //! state — and processes the tree in layers (all nodes at one depth):
 //!
-//! 1. **Expand (parallel):** every `(node, choice)` job of the layer
-//!    resumes one scheduling decision from the node's snapshot
-//!    ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`]) and
-//!    fingerprints the child. Jobs are claimed work-stealing style from a
-//!    shared atomic cursor by up to [`super::Explorer::threads`] workers;
-//!    each worker also pre-checks the child's fingerprint against the
-//!    **committed** visited set (sharded `fingerprint mod 64` behind
-//!    striped locks), which is frozen during the phase — so the check's
-//!    outcome is independent of worker interleaving.
-//! 2. **Merge (canonical):** results are folded **in job order** —
-//!    visited-set insertion, within-layer duplicate resolution,
-//!    statistics, violation checks, and the next layer's job list. Every
+//! 1. **Expand (parallel, owner-computes):** every `(node, choice)` job
+//!    of the layer resumes one scheduling decision from the node's
+//!    snapshot ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`])
+//!    and fingerprints the child. One worker pool serves the whole sweep:
+//!    [`Engine::drive`] spawns [`super::Explorer::threads`]` - 1` helper
+//!    threads once, and the calling thread is worker 0 (so `threads = 1`
+//!    runs the same loop, with no helper). Each layer's job list is cut
+//!    into contiguous blocks of [`BLOCK`] jobs; worker `w` claims blocks
+//!    forward from block `w · blocks / workers`, then steals whatever the
+//!    others have not reached. Jobs are node-major, so siblings share a
+//!    block and a block's children land contiguously in the next layer:
+//!    mostly, the worker that built a node is the one that expands it.
+//!    The worker pre-checks each child's fingerprint against the
+//!    **committed** visited set (one hash set, read-only for the whole
+//!    phase — so the check's outcome is independent of worker
+//!    interleaving) and classifies every child it keeps
+//!    ([`Shared::classify`]): a terminal or timed-out child becomes its
+//!    [`RunReport`], an interior one carries its ordered candidate
+//!    choices, each with the DPOR rule's verdict. The worker then drops
+//!    the job, so a parent's snapshot is freed where it was last used,
+//!    while it is still in that worker's cache.
+//! 2. **Merge (canonical):** results come back one vector per block and
+//!    are folded **in job order** — visited-set insertion, within-layer
+//!    duplicate resolution, violation checks (with gated-replay
+//!    confirmation), the expansion budget, resident-ceiling eviction,
+//!    checkpoint storage, statistics, and the next layer's job list,
+//!    replayed from each child's precomputed choice list. Every
 //!    nondeterministic effect of phase 1 is invisible to phase 2, so the
 //!    whole exploration — counts, violations, report — is byte-identical
 //!    for `threads = 1` and `threads = k` (property-tested in
 //!    `tests/proptests.rs` and diffed by the CI determinism gate).
 //!
 //! Terminal nodes (everyone decided/crashed, or the per-path step budget
-//! exhausted) synthesize their [`RunReport`] from the snapshot and are
-//! checked at merge time. Nodes at the sibling-enumeration depth bound
-//! run a **tail**: resumed to completion along the canonical choice-0
-//! suffix as one job, exactly like the gated explorer's depth-bounded
-//! runs. A violation's confirmation re-runs its choice vector through the
-//! **gated** world ([`RunConfig::replay`]) and asserts both engines agree
-//! on the outcomes — a permanent cross-check of the resume engine against
-//! the reference implementation.
+//! exhausted) synthesize their [`RunReport`] from the snapshot in the
+//! worker and are checked at merge time. Nodes at the
+//! sibling-enumeration depth bound run a **tail**: resumed to completion
+//! along the canonical choice-0 suffix as one job, exactly like the
+//! gated explorer's depth-bounded runs. A violation's confirmation
+//! re-runs its choice vector through the **gated** world
+//! ([`RunConfig::replay`]) and asserts both engines agree on the
+//! outcomes — a permanent cross-check of the resume engine against the
+//! reference implementation.
 //!
 //! # Crash-count branching ([`Crashes::UpTo`])
 //!
 //! Under the symmetric crash-count adversary, crash delivery is not a
 //! policy decision but a **schedule branch**: at every interior node
-//! whose crash budget is not exhausted, [`Engine::admit`] queues — next
+//! whose crash budget is not exhausted, [`Shared::classify`] lists — next
 //! to each alive process's op expansion — a crash sibling encoded as
 //! choice `alive.len() + i` (the same crash index band
 //! `Schedule::Indexed` decodes, so counterexample vectors replay their
@@ -53,7 +69,7 @@
 //!
 //! # Reductions (see [`super::Reduction`])
 //!
-//! The partial-order skip rule lives in [`Engine::skip_kind`]: with DPOR
+//! The partial-order skip rule lives in [`Shared::skip_kind`]: with DPOR
 //! on, a child pick is skipped when its pending *action* (operation
 //! footprint, crash delivery, or TSO flush) commutes with the action that
 //! created the node and the pids are inverted — only the pid-canonical
@@ -105,8 +121,10 @@
 //! ([`Engine::resume`]).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::{self, Scope};
 
 use parking_lot::Mutex;
 
@@ -118,34 +136,37 @@ use super::report::{ExploreReport, ExploreStats, Violation};
 use super::store::{MemStore, PendingSweep, SnapRef, SnapshotStore, SpillStore, SweepCheckpoint};
 use super::Explorer;
 
-/// Number of visited-set shards (fingerprint modulo; must be a power of
-/// two). 64 stripes keep lock contention negligible at the worker counts
-/// a desktop machine can field.
-const SHARD_COUNT: usize = 64;
+/// Jobs per block, the unit a worker claims. Jobs are queued node-major,
+/// so a block holds runs of siblings and its children come back as one
+/// contiguous stretch of the next layer. 64 resumes (several hundred
+/// microseconds) amortize a claim, while a layer of a few thousand jobs
+/// still leaves dozens of blocks to balance between workers.
+const BLOCK: usize = 64;
 
-/// The visited-fingerprint set, sharded by `fingerprint mod 64` behind
-/// striped locks: workers of one expansion phase probe membership
-/// concurrently; insertion happens only in the canonical merge.
-struct VisitedShards {
-    shards: Vec<Mutex<HashSet<u64>>>,
-}
+/// The committed visited-fingerprint set. Workers probe it read-only
+/// during the expansion phase; only the merge inserts.
+type Visited = HashSet<u64, BuildHasherDefault<FpHasher>>;
 
-impl VisitedShards {
-    fn new() -> Self {
-        VisitedShards { shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashSet::new())).collect() }
+/// The visited set's hasher: one folded multiply (the 128-bit product
+/// with an odd constant, its high half xored into its low half). The
+/// keys are FNV-1a fingerprints, whose low bits — the ones that pick a
+/// hash-table bucket — are weakly mixed, so the identity would cluster
+/// them; SipHash would mix them at several times the cost.
+#[derive(Default)]
+struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the visited set hashes only u64 fingerprints");
     }
 
-    fn shard(&self, fp: u64) -> &Mutex<HashSet<u64>> {
-        &self.shards[(fp as usize) & (SHARD_COUNT - 1)]
+    fn write_u64(&mut self, fp: u64) {
+        let product = u128::from(fp) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 
-    fn contains(&self, fp: u64) -> bool {
-        self.shard(fp).lock().contains(&fp)
-    }
-
-    /// `true` if `fp` was new.
-    fn insert(&self, fp: u64) -> bool {
-        self.shard(fp).lock().insert(fp)
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -196,7 +217,7 @@ impl Action {
 
     /// Whether the action consumes one global step (ops and flushes do;
     /// crash deliveries do not) — what the mixed-transposition timeout
-    /// guard in [`Engine::skip_kind`] needs to know.
+    /// guard in [`Shared::skip_kind`] needs to know.
     fn consumes_step(&self) -> bool {
         !matches!(self, Action::Crash)
     }
@@ -213,21 +234,22 @@ enum SkipKind {
 
 /// A node's state payload: resident nodes carry their snapshot (shared —
 /// descendants anchor to checkpoint-layer snapshots); evicted nodes keep
-/// only what the merge-phase reductions need and are rehydrated by the
-/// worker that expands them.
+/// scheduling metadata only and are rehydrated by the worker that
+/// expands them. Every reduction decision about a node is made from its
+/// snapshot before it can be evicted ([`Shared::classify`]), so the
+/// engine itself never reads this metadata; only the spill codec writes
+/// and restores it, as part of the manifest format.
 pub(super) enum Store {
     Resident(Arc<Snapshot>),
     Evicted {
-        /// Pending footprint per pid (what [`Engine::skip_kind`] reads).
+        /// Pending footprint per pid.
         pending: Vec<Option<Footprint>>,
         /// Store-buffer head (next-to-flush) footprint per pid — `None`
-        /// for empty buffers and everywhere under SC (what the
-        /// flush-band arm of [`Engine::skip_kind`] reads).
+        /// for empty buffers and everywhere under SC.
         flush_heads: Vec<Option<Footprint>>,
-        /// Per-process own-step clocks (what the crash plan reads).
+        /// Per-process own-step clocks.
         own_steps: Vec<u64>,
-        /// Completed steps along the path (what the timeout guard of
-        /// [`Engine::skip_kind`] reads).
+        /// Completed steps along the path.
         steps: u64,
     },
 }
@@ -272,36 +294,6 @@ pub(super) struct Node {
     pub(super) anchor: Option<Anchor>,
 }
 
-impl Node {
-    fn pending_footprint(&self, pid: Pid) -> Option<Footprint> {
-        match &self.store {
-            Store::Resident(snap) => snap.pending_footprint(pid),
-            Store::Evicted { pending, .. } => pending[pid],
-        }
-    }
-
-    fn flush_head(&self, pid: Pid) -> Option<Footprint> {
-        match &self.store {
-            Store::Resident(snap) => snap.flush_footprint(pid),
-            Store::Evicted { flush_heads, .. } => flush_heads[pid],
-        }
-    }
-
-    fn own_steps(&self, pid: Pid) -> u64 {
-        match &self.store {
-            Store::Resident(snap) => snap.own_steps(pid),
-            Store::Evicted { own_steps, .. } => own_steps[pid],
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        match &self.store {
-            Store::Resident(snap) => snap.steps(),
-            Store::Evicted { steps, .. } => *steps,
-        }
-    }
-}
-
 pub(super) enum Job {
     /// Execute one scheduling decision at `node`: pick `alive[choice]`,
     /// or — for a crash-band choice `alive.len() + i` under
@@ -315,14 +307,15 @@ pub(super) enum Job {
 }
 
 enum JobResult {
-    Expanded(Box<Expanded>),
+    Expanded(Expanded),
     Tail(TailRun),
 }
 
 struct Expanded {
-    /// `None` when the committed visited set already contained `fp` (the
-    /// snapshot is dropped in the worker, saving merge-phase memory).
-    node: Option<Node>,
+    /// The child, classified for admission; `None` when the committed
+    /// visited set already contained `fp` (the snapshot is dropped in the
+    /// worker, saving merge-phase memory).
+    child: Option<Child>,
     fp: u64,
     /// The observation quotient coarsened this child's identity (its raw
     /// fingerprint differs from `fp`) — feeds the `qhits` counter when
@@ -333,7 +326,6 @@ struct Expanded {
     /// relabeling) — feeds the `symm=` counter when the child is
     /// pruned.
     symm_coarsened: bool,
-    pre_pruned: bool,
     /// The executed decision delivered a crash (a crash-band branch
     /// under [`Crashes::UpTo`], or a firing [`Crashes::AtOwnStep`]
     /// plan) — feeds the `crashes=` counter.
@@ -361,15 +353,94 @@ struct TailRun {
     store_reads: u64,
 }
 
+/// A kept node, classified for [`Engine::admit`] by the worker that
+/// built it ([`Shared::classify`]) — everything admission reads from the
+/// snapshot, so the merge touches no snapshot but to store or evict it.
+enum Child {
+    /// Everyone finished or crashed with every store buffer drained, or
+    /// the per-path step budget ran out: the run's report and choice
+    /// vector (the snapshot was dropped in the worker).
+    Run { report: RunReport, path: Vec<usize> },
+    /// The sibling-enumeration depth bound binds: the node runs a tail.
+    Tail(Arc<Node>),
+    /// An interior node: its branch degree and every candidate choice in
+    /// queue order, each with the partial-order rule's verdict.
+    Branch { node: Arc<Node>, degree: usize, choices: Vec<(usize, Option<SkipKind>)> },
+}
+
+/// One layer's work as the pool sees it: the job list cut into
+/// [`BLOCK`]-job blocks — each taken whole by the first worker to claim
+/// it, which leaves an empty vector behind as the claimed flag — and the
+/// committed visited set, read-only until every worker has let the layer
+/// go.
+struct Layer {
+    blocks: Vec<Mutex<Vec<Job>>>,
+    visited: Visited,
+}
+
+/// The blocks one worker ran: `(block index, one result per job)`.
+type Ran = Vec<(usize, Vec<JobResult>)>;
+
+/// The sweep's helper threads, `threads - 1` of them (the calling thread
+/// is worker 0): each waits on its own channel for a layer and the
+/// number of workers sharing it, and reports the blocks it ran on the
+/// shared channel.
+struct Pool {
+    wake: Vec<mpsc::Sender<(Arc<Layer>, usize)>>,
+    done: mpsc::Receiver<thread::Result<Ran>>,
+}
+
+impl Pool {
+    /// Spawns the helpers into `scope`, which joins them when the sweep
+    /// ends: dropping the pool closes their channels, and each returns.
+    fn spawn<'scope, F>(
+        scope: &'scope Scope<'scope, '_>,
+        shared: &'scope Shared<'_, F>,
+        threads: usize,
+    ) -> Pool
+    where
+        F: Fn() -> Vec<Body> + Sync,
+    {
+        let (ran_tx, done) = mpsc::channel();
+        let wake = (1..threads)
+            .map(|worker| {
+                let (wake, layers) = mpsc::channel::<(Arc<Layer>, usize)>();
+                let ran_tx = ran_tx.clone();
+                scope.spawn(move || {
+                    for (layer, workers) in layers {
+                        // A panicking job is handed to the calling
+                        // thread, which resumes it: the sweep fails with
+                        // the job's own message instead of waiting for a
+                        // helper that died. Nothing the panic interrupted
+                        // is read afterwards.
+                        let ran = catch_unwind(AssertUnwindSafe(|| {
+                            work(shared, &layer, worker, workers)
+                        }));
+                        // Let go of the layer before reporting, so the
+                        // merge can take the visited set back.
+                        drop(layer);
+                        if ran_tx.send(ran).is_err() {
+                            return;
+                        }
+                    }
+                });
+                wake
+            })
+            .collect();
+        Pool { wake, done }
+    }
+}
+
 /// The read-only context expansion workers share.
 struct Shared<'a, F> {
     n: usize,
     crashes: &'a Crashes,
     make_bodies: &'a F,
-    visited: &'a VisitedShards,
     /// Visited-state pruning enabled — also the only reason to
     /// fingerprint child snapshots, so it doubles as the tracking flag.
     prune: bool,
+    /// Apply the partial-order skip rule ([`Shared::skip_kind`]).
+    dpor: bool,
     /// Fingerprint children by the observation quotient.
     quotient: bool,
     /// Fold declared view summaries into live observation histories
@@ -384,23 +455,27 @@ struct Shared<'a, F> {
     /// kept here for rehydration roots).
     tso: bool,
     max_steps: u64,
+    max_depth: usize,
 }
+
+// Manual impls: a derive would demand `F: Copy`, but only `&F` is held.
+impl<F> Clone for Shared<'_, F> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<F> Copy for Shared<'_, F> {}
 
 /// One exploration in progress. Construction wires the configuration;
 /// [`Engine::run`] consumes it.
 pub(super) struct Engine<'a, F, C> {
     ex: &'a Explorer,
-    make_bodies: &'a F,
     check: &'a C,
-    /// See [`Shared::prune`] — also the snapshot-tracking flag.
-    prune: bool,
-    dpor: bool,
-    quotient: bool,
-    viewsum: bool,
-    /// See [`Shared::symmetry`].
-    symmetry: Option<Symmetry>,
+    /// The configuration workers read (also consulted by the merge).
+    shared: Shared<'a, F>,
     threads: usize,
-    visited: VisitedShards,
+    visited: Visited,
     stats: ExploreStats,
     violations: Vec<Violation>,
     complete: bool,
@@ -490,17 +565,25 @@ where
             ex.reduction.prune_visited && ex.reduction.symmetry && ex.symmetry.is_some();
         stats.crashcount_enabled = matches!(ex.crashes, Crashes::UpTo(_));
         stats.tso_enabled = ex.tso;
-        Engine {
-            ex,
+        let shared = Shared {
+            n: ex.n,
+            crashes: &ex.crashes,
             make_bodies,
-            check,
             prune: ex.reduction.prune_visited,
             dpor: ex.reduction.dpor,
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
+            tso: ex.tso,
+            max_steps: ex.limits.max_steps,
+            max_depth: ex.limits.max_depth,
+        };
+        Engine {
+            ex,
+            check,
+            shared,
             threads: ex.threads.max(1),
-            visited: VisitedShards::new(),
+            visited: Visited::default(),
             stats,
             violations: Vec::new(),
             complete: true,
@@ -515,12 +598,13 @@ where
     }
 
     pub(super) fn run(mut self) -> ExploreReport {
+        let shared = self.shared;
         let snap = ModelWorld::snapshot_root_tso(
-            self.ex.n,
-            self.prune,
-            self.viewsum,
-            self.ex.tso,
-            (self.make_bodies)(),
+            shared.n,
+            shared.prune,
+            shared.viewsum,
+            shared.tso,
+            (shared.make_bodies)(),
         );
         let root = Node {
             alive: snap.alive(),
@@ -531,7 +615,7 @@ where
             anchor: None,
         };
         let mut jobs = Vec::new();
-        self.admit(root, &mut jobs);
+        self.admit(shared.classify(root), &mut jobs);
         self.drive(jobs)
     }
 
@@ -546,18 +630,17 @@ where
         pending: PendingSweep,
     ) -> ExploreReport {
         let mut engine = Engine::with_store(ex, make_bodies, check, Box::new(pending.store), true);
+        let symmetry = engine.shared.symmetry.is_some();
         assert_eq!(
-            engine.symmetry.is_some(),
+            symmetry,
             pending.stats.symm_enabled,
             "explore spill: the resumed configuration {} the symmetry quotient but the \
              manifest says the original sweep {} it — the visited set would be in the wrong \
              state space",
-            if engine.symmetry.is_some() { "enables" } else { "disables" },
+            if symmetry { "enables" } else { "disables" },
             if pending.stats.symm_enabled { "enabled" } else { "disabled" },
         );
-        for fp in pending.visited {
-            engine.visited.insert(fp);
-        }
+        engine.visited.extend(pending.visited);
         engine.stats = pending.stats;
         engine.violations = pending.violations;
         engine.queued = pending.queued;
@@ -571,27 +654,35 @@ where
     /// after every merge; a configured [`super::Explorer::halt_after_layers`]
     /// exits *between* barriers — leaving the sweep directory exactly as
     /// a kill at that instant would — and reports incomplete.
+    ///
+    /// The worker pool lives exactly as long as this loop: its helper
+    /// threads are spawned once, in a scope that joins them when the
+    /// sweep ends (also when it unwinds).
     fn drive(mut self, mut jobs: Vec<Job>) -> ExploreReport {
-        self.barrier(&jobs, false);
-        let mut halted = false;
-        while !jobs.is_empty() && !self.stopped {
-            if self.ex.halt_after_layers.is_some_and(|h| self.layer >= h) {
-                halted = true;
-                break;
-            }
-            let results = self.execute(&jobs);
-            jobs = self.merge(results);
-            self.layer += 1;
+        let shared = self.shared;
+        thread::scope(|scope| {
+            let pool = Pool::spawn(scope, &shared, self.threads);
             self.barrier(&jobs, false);
-        }
-        if !halted {
-            self.barrier(&[], true);
-        }
-        ExploreReport {
-            complete: self.complete && self.violations.is_empty() && !halted,
-            stats: self.stats,
-            violations: self.violations,
-        }
+            let mut halted = false;
+            while !jobs.is_empty() && !self.stopped {
+                if self.ex.halt_after_layers.is_some_and(|h| self.layer >= h) {
+                    halted = true;
+                    break;
+                }
+                let results = self.execute(&pool, jobs);
+                jobs = self.merge(results);
+                self.layer += 1;
+                self.barrier(&jobs, false);
+            }
+            if !halted {
+                self.barrier(&[], true);
+            }
+            ExploreReport {
+                complete: self.complete && self.violations.is_empty() && !halted,
+                stats: self.stats,
+                violations: self.violations,
+            }
+        })
     }
 
     /// Persists one layer boundary through the store (a no-op in
@@ -621,78 +712,55 @@ where
         self.ex.resident_ceiling != usize::MAX || self.spilling
     }
 
-    /// Classifies a freshly retained node: terminal and timed-out nodes
-    /// are checked now; depth-bounded nodes queue a tail job; everything
-    /// else queues one expansion job per non-redundant choice. A
+    /// Admits a kept, classified node: a finished run is checked now; a
+    /// depth-bounded node queues a tail job; an interior node queues one
+    /// expansion job per choice its classification did not skip. A
     /// non-terminal node beyond the layer's resident ceiling is evicted
     /// to scheduling metadata before queueing.
-    fn admit(&mut self, mut node: Node, jobs: &mut Vec<Job>) {
-        let Store::Resident(snap) = &node.store else {
-            unreachable!("children are admitted resident");
+    fn admit(&mut self, child: Child, jobs: &mut Vec<Job>) {
+        let (mut node, branch) = match child {
+            Child::Run { report, path } => {
+                let depth = path.len();
+                self.finish_run(report, path, depth);
+                return;
+            }
+            Child::Tail(node) => (node, None),
+            Child::Branch { node, degree, choices } => (node, Some((degree, choices))),
         };
-        let depth = node.path.len();
-        // Under TSO a state with everyone finished/crashed but writes
-        // still parked in store buffers is *not* terminal: the pending
-        // flushes are hardware actions that still mutate shared memory
-        // (and future readers), so such nodes branch on flushes below.
-        // Under SC every buffer is empty and this is the classic check.
-        let flushable = snap.flushable();
-        if node.alive.is_empty() && flushable.is_empty() {
-            let report = snap.report(false);
-            self.finish_run(report, node.path, depth);
-            return;
-        }
-        if snap.steps() >= self.ex.limits.max_steps {
-            let report = snap.report(true);
-            self.finish_run(report, node.path, depth);
-            return;
-        }
+        let fresh = Arc::get_mut(&mut node).expect("a kept child is not shared yet");
+        let depth = fresh.path.len();
         // Checkpoint-depth nodes anchor to themselves: their snapshot
         // goes to the store, and every descendant down to the next
         // checkpoint layer inherits the returned reference.
         if self.evictable() && depth % self.ex.checkpoint_every == 0 {
+            let Store::Resident(snap) = &fresh.store else {
+                unreachable!("children are admitted resident");
+            };
             let snap_ref = match self.store.put(snap, &mut self.stats) {
                 Ok(snap_ref) => snap_ref,
                 Err(e) => panic!("explore spill: cannot store a checkpoint snapshot: {e}"),
             };
-            node.anchor = Some(Anchor { depth, snap: snap_ref, crash: node.crash.clone() });
+            fresh.anchor = Some(Anchor { depth, snap: snap_ref, crash: fresh.crash.clone() });
         }
-        let node = self.maybe_evict(node);
-        if depth >= self.ex.limits.max_depth {
+        self.maybe_evict(fresh);
+        let Some((degree, choices)) = branch else {
             // The bound binds: this is no longer a full proof.
             self.complete = false;
             if self.take_work() {
-                jobs.push(Job::Tail { node: Arc::new(node) });
+                jobs.push(Job::Tail { node });
             }
             return;
-        }
-        // The branch degree counts every schedulable action: alive
-        // processes plus — under TSO — pending flushes. Flushes can push
-        // the degree past `n` (up to `2n`), so the histogram grows on
-        // demand; SC sweeps never index past the preallocated `n + 1`
-        // slots and their summary lines are untouched.
-        let degree = node.alive.len() + flushable.len();
+        };
+        // Flushes can push the degree past `n` (up to `2n`), so the
+        // histogram grows on demand; SC sweeps never index past the
+        // preallocated `n + 1` slots and their summary lines are
+        // untouched.
         if degree >= self.stats.branching_histogram.len() {
             self.stats.branching_histogram.resize(degree + 1, 0);
         }
         self.stats.branching_histogram[degree] += 1;
-        let node = Arc::new(node);
-        // Op expansions (`choice < alive.len()`), then — while the
-        // crash-count adversary's budget lasts — one crash sibling per
-        // alive process in the crash index band (`alive.len() + i`
-        // delivers a crash to `alive[i]`; other adversaries never have
-        // budget, so the band stays empty for them), then one flush
-        // sibling per non-empty store buffer in the TSO flush band
-        // (`2 * alive.len() + pid` flushes raw process `pid`'s head —
-        // raw pids, because buffers outlive their owner's finish or
-        // crash and the owner may have left the alive set). The band
-        // offsets match `ScheduleState::pick_tso` exactly, so
-        // counterexample vectors replay their flush placements through
-        // the gated engine verbatim.
-        let a = node.alive.len();
-        let choices = if node.crash.budget_left() { 0..2 * a } else { 0..a };
-        for choice in choices.chain(flushable.iter().map(|&p| 2 * a + p)) {
-            match self.skip_kind(&node, choice) {
+        for (choice, skip) in choices {
+            match skip {
                 Some(SkipKind::Sleep) => {
                     self.stats.sleep_skips += 1;
                     continue;
@@ -721,23 +789,23 @@ where
     /// root replay this policy exists to avoid. The disk store keeps
     /// its anchors in the segment file and waives the exemption —
     /// checkpoint nodes count against the ceiling like any other.
-    fn maybe_evict(&mut self, node: Node) -> Node {
+    fn maybe_evict(&mut self, node: &mut Node) {
         if self.store.exempts_checkpoints() && node.path.len() % self.ex.checkpoint_every == 0 {
-            return node;
+            return;
         }
         if self.resident < self.ex.resident_ceiling {
             self.resident += 1;
-            return node;
+            return;
         }
         let Store::Resident(snap) = &node.store else {
-            return node;
+            return;
         };
         self.stats.evicted += 1;
         let pending = (0..self.ex.n).map(|p| snap.pending_footprint(p)).collect();
         let flush_heads = (0..self.ex.n).map(|p| snap.flush_footprint(p)).collect();
         let own_steps = (0..self.ex.n).map(|p| snap.own_steps(p)).collect();
         let steps = snap.steps();
-        Node { store: Store::Evicted { pending, flush_heads, own_steps, steps }, ..node }
+        node.store = Store::Evicted { pending, flush_heads, own_steps, steps };
     }
 
     /// Accounts one unit of expansion work against the budget; on
@@ -752,147 +820,50 @@ where
         true
     }
 
-    /// The partial-order skip rule. Picking `p = alive[choice]` right
-    /// after the action that created `node` (performed by `q`) is
-    /// redundant when `p < q` and the two actions *commute*: the
-    /// transposed pair reaches the canonical (pid-ascending) pair's
-    /// state, whose subtree is covered from its canonical representative.
-    ///
-    /// Active only under [`super::Reduction::dpor`]; the commuting test
-    /// is the action-level one ([`Action::commutes`]: footprint
-    /// independence, crash commutation). `p`'s action is a crash
-    /// delivery when the (stateless) crash plan fires at its current
-    /// own-step clock, and the completed operation's footprint
-    /// otherwise.
-    fn skip_kind(&self, node: &Node, choice: usize) -> Option<SkipKind> {
-        if !self.dpor {
-            return None;
+    /// Phase 1: runs the layer's jobs on the pool — this thread plus up
+    /// to `threads - 1` helpers, one per block at most — and returns one
+    /// result vector per block, in block order. Consumes the jobs: each
+    /// is dropped by the worker that ran it. Only reads engine state; the
+    /// visited set goes to the workers read-only and comes back before
+    /// [`Engine::merge`] folds the results.
+    fn execute(&mut self, pool: &Pool, jobs: Vec<Job>) -> Vec<Vec<JobResult>> {
+        let count = jobs.len().div_ceil(BLOCK);
+        let mut rest = jobs.into_iter();
+        let blocks = (0..count).map(|_| Mutex::new(rest.by_ref().take(BLOCK).collect())).collect();
+        let layer = Arc::new(Layer { blocks, visited: std::mem::take(&mut self.visited) });
+        let workers = self.threads.min(count).max(1);
+        for wake in &pool.wake[..workers - 1] {
+            wake.send((Arc::clone(&layer), workers)).expect("pool helpers outlive the sweep");
         }
-        let (q, act_q) = node.incoming.as_ref()?;
-        let a = node.alive.len();
-        let (p, act_p) = if let Some(pid) = choice.checked_sub(2 * a) {
-            // A TSO flush-band sibling: the action is the buffered
-            // head's memory write, attributed to the buffer's owner
-            // (raw pid). Always available at the parent too: no other
-            // process's action touches `pid`'s buffer (only `pid`'s own
-            // ops enqueue to it, and same-pid pairs never skip), so the
-            // covering transposed path flushes the identical entry.
-            (pid, Action::Flush(node.flush_head(pid)?))
-        } else if let Some(i) = choice.checked_sub(a) {
-            // A crash-band sibling ([`Crashes::UpTo`] budget branch):
-            // the action is the crash delivery itself. Transposing it
-            // before `q`'s incoming action is always budget-sound: ops
-            // consume no crash budget, so the budget available at the
-            // parent is (crash incoming) one more than, or (op
-            // incoming) equal to, the budget here — either way enough
-            // for the covering path to deliver this crash first.
-            (node.alive[i], Action::Crash)
-        } else {
-            let p = node.alive[choice];
-            let act = if self.crash_fires(p, node.own_steps(p)) {
-                Action::Crash
-            } else {
-                Action::Op(node.pending_footprint(p)?)
-            };
-            (p, act)
-        };
-        if p >= *q {
-            return None;
-        }
-        // The TSO fence rule: an operation that drains the caller's
-        // store buffer (`tas`, `xcons_propose`, `fence`) may write
-        // several objects beyond its single-key footprint, so under TSO
-        // it conflicts with every adjacent action — never skip around
-        // it. SC is untouched (buffers are empty, the drain is a
-        // no-op, and the single-key footprint is exact).
-        if self.ex.tso
-            && [&act_p, act_q].iter().any(|act| act.footprint().is_some_and(Footprint::fences))
-        {
-            return None;
-        }
-        // A crash delivery consumes no step but an operation (or a
-        // flush) does, so transposing a step-consuming action past an
-        // incoming crash is only valid when the covering path — the
-        // step *first*, then the crash — is not cut by the step budget
-        // in between: if the step lands exactly on `max_steps`, the
-        // covering run times out before the crash is delivered and
-        // reports the victim undecided instead of crashed. (Op-op,
-        // op-flush, and flush-flush transpositions are symmetric in
-        // steps, and crash-crash consumes none, so only this mixed
-        // case needs the guard.)
-        if matches!(act_q, Action::Crash)
-            && act_p.consumes_step()
-            && node.steps() + 1 >= self.ex.limits.max_steps
-        {
-            return None;
-        }
-        if !act_p.commutes(act_q) {
-            return None;
-        }
-        let read_read = act_p.is_pure_read() && act_q.is_pure_read();
-        Some(if read_read { SkipKind::Sleep } else { SkipKind::Dpor })
-    }
-
-    /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
-    /// step. [`Crashes::Random`] never reaches here — `Explorer::run`
-    /// rejects it.
-    fn crash_fires(&self, pid: Pid, own: u64) -> bool {
-        match &self.ex.crashes {
-            Crashes::None => false,
-            Crashes::AtOwnStep(plan) => plan.iter().any(|&(p, s)| p == pid && s == own),
-            // Crash-count crashes are explicit crash-band branches, never
-            // a side effect of an op pick.
-            Crashes::UpTo(_) => false,
-            Crashes::Random { .. } => unreachable!("Explorer::run rejects random crashes"),
-        }
-    }
-
-    /// Phase 1: runs the layer's jobs, on this thread or on a scoped
-    /// worker pool claiming jobs from an atomic cursor. Only reads shared
-    /// state; all results are folded canonically by [`Engine::merge`].
-    fn execute(&self, jobs: &[Job]) -> Vec<JobResult> {
-        let shared = Shared {
-            n: self.ex.n,
-            crashes: &self.ex.crashes,
-            make_bodies: self.make_bodies,
-            visited: &self.visited,
-            prune: self.prune,
-            quotient: self.quotient,
-            viewsum: self.viewsum,
-            symmetry: self.symmetry,
-            tso: self.ex.tso,
-            max_steps: self.ex.limits.max_steps,
-        };
-        let workers = self.threads.min(jobs.len());
-        if workers <= 1 {
-            return jobs.iter().map(|job| run_job(&shared, job)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let out = run_job(&shared, &jobs[i]);
-                    *slots[i].lock() = Some(out);
-                });
+        let mut results: Vec<Vec<JobResult>> = (0..count).map(|_| Vec::new()).collect();
+        let mut place = |ran: Ran| {
+            for (block, out) in ran {
+                results[block] = out;
             }
-        });
-        slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
+        };
+        place(work(&self.shared, &layer, 0, workers));
+        for _ in 1..workers {
+            match pool.done.recv().expect("pool helpers outlive the sweep") {
+                Ok(ran) => place(ran),
+                Err(panic) => resume_unwind(panic),
+            }
+        }
+        let Ok(layer) = Arc::try_unwrap(layer) else {
+            unreachable!("every worker let go of the layer before reporting");
+        };
+        self.visited = layer.visited;
+        results
     }
 
     /// Phase 2: folds the layer's results in job order — deterministic
     /// regardless of which worker produced what when.
-    fn merge(&mut self, results: Vec<JobResult>) -> Vec<Job> {
+    fn merge(&mut self, blocks: Vec<Vec<JobResult>>) -> Vec<Job> {
         // Every result in hand was executed, even those a mid-merge stop
         // discards below — `expansions` reports performed work.
-        self.stats.expansions += results.len() as u64;
+        self.stats.expansions += blocks.iter().map(Vec::len).sum::<usize>() as u64;
         self.resident = 0;
         let mut jobs = Vec::new();
-        for result in results {
+        for result in blocks.into_iter().flatten() {
             if self.stopped {
                 break;
             }
@@ -914,7 +885,8 @@ where
                     if child.flushed {
                         self.stats.flush_branches += 1;
                     }
-                    if self.prune && (child.pre_pruned || !self.visited.insert(child.fp)) {
+                    let prune = self.shared.prune;
+                    if prune && (child.child.is_none() || !self.visited.insert(child.fp)) {
                         self.stats.states_pruned += 1;
                         if child.coarsened {
                             self.stats.quotient_hits += 1;
@@ -924,12 +896,12 @@ where
                         }
                         continue;
                     }
-                    if self.prune && self.spilling {
+                    if prune && self.spilling {
                         self.visited_delta.push(child.fp);
                     }
                     self.stats.states_visited += 1;
-                    let node = child.node.expect("retained children carry their node");
-                    self.admit(node, &mut jobs);
+                    let kept = child.child.expect("retained children carry their node");
+                    self.admit(kept, &mut jobs);
                 }
             }
         }
@@ -962,7 +934,7 @@ where
             choices,
         )
         .tso(self.ex.tso);
-        let replayed = ModelWorld::run(cfg, (self.make_bodies)());
+        let replayed = ModelWorld::run(cfg, (self.shared.make_bodies)());
         assert_eq!(
             replayed.outcomes, report.outcomes,
             "snapshot-resume exploration and gated replay disagree on a counterexample \
@@ -971,12 +943,182 @@ where
     }
 }
 
-fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: &Job) -> JobResult {
-    match job {
-        Job::Expand { node, choice } => {
-            JobResult::Expanded(Box::new(expand(shared, node, *choice)))
+impl<F> Shared<'_, F> {
+    /// Classifies a kept node for [`Engine::admit`], reading everything
+    /// admission needs from its snapshot: a terminal or timed-out node
+    /// becomes its run report (and its snapshot is dropped here), a node
+    /// at the depth bound a tail, and anything else a branch with its
+    /// candidate choices and their skip verdicts. Runs in the worker that
+    /// built the node (and once on the calling thread, for the root).
+    fn classify(&self, node: Node) -> Child {
+        let Store::Resident(snap) = &node.store else {
+            unreachable!("children are classified resident");
+        };
+        // Under TSO a state with everyone finished/crashed but writes
+        // still parked in store buffers is *not* terminal: the pending
+        // flushes are hardware actions that still mutate shared memory
+        // (and future readers), so such nodes branch on flushes below.
+        // Under SC every buffer is empty and this is the classic check.
+        let flushable = snap.flushable();
+        if node.alive.is_empty() && flushable.is_empty() {
+            let report = snap.report(false);
+            return Child::Run { report, path: node.path };
         }
-        Job::Tail { node } => JobResult::Tail(run_tail(shared, node)),
+        if snap.steps() >= self.max_steps {
+            let report = snap.report(true);
+            return Child::Run { report, path: node.path };
+        }
+        if node.path.len() >= self.max_depth {
+            return Child::Tail(Arc::new(node));
+        }
+        // Op expansions (`choice < alive.len()`), then — while the
+        // crash-count adversary's budget lasts — one crash sibling per
+        // alive process in the crash index band (`alive.len() + i`
+        // delivers a crash to `alive[i]`; other adversaries never have
+        // budget, so the band stays empty for them), then one flush
+        // sibling per non-empty store buffer in the TSO flush band
+        // (`2 * alive.len() + pid` flushes raw process `pid`'s head —
+        // raw pids, because buffers outlive their owner's finish or
+        // crash and the owner may have left the alive set). The band
+        // offsets match `ScheduleState::pick_tso` exactly, so
+        // counterexample vectors replay their flush placements through
+        // the gated engine verbatim.
+        let a = node.alive.len();
+        let band = if node.crash.budget_left() { 0..2 * a } else { 0..a };
+        let choices = band
+            .chain(flushable.iter().map(|&p| 2 * a + p))
+            .map(|choice| (choice, self.skip_kind(&node, snap, choice)))
+            .collect();
+        // The branch degree counts every schedulable action: alive
+        // processes plus — under TSO — pending flushes.
+        Child::Branch { degree: a + flushable.len(), node: Arc::new(node), choices }
+    }
+
+    /// The partial-order skip rule. Picking `p = alive[choice]` right
+    /// after the action that created `node` (performed by `q`) is
+    /// redundant when `p < q` and the two actions *commute*: the
+    /// transposed pair reaches the canonical (pid-ascending) pair's
+    /// state, whose subtree is covered from its canonical representative.
+    ///
+    /// Active only under [`super::Reduction::dpor`]; the commuting test
+    /// is the action-level one ([`Action::commutes`]: footprint
+    /// independence, crash commutation). `p`'s action is a crash
+    /// delivery when the (stateless) crash plan fires at its current
+    /// own-step clock, and the completed operation's footprint
+    /// otherwise.
+    fn skip_kind(&self, node: &Node, snap: &Snapshot, choice: usize) -> Option<SkipKind> {
+        if !self.dpor {
+            return None;
+        }
+        let (q, act_q) = node.incoming.as_ref()?;
+        let a = node.alive.len();
+        let (p, act_p) = if let Some(pid) = choice.checked_sub(2 * a) {
+            // A TSO flush-band sibling: the action is the buffered
+            // head's memory write, attributed to the buffer's owner
+            // (raw pid). Always available at the parent too: no other
+            // process's action touches `pid`'s buffer (only `pid`'s own
+            // ops enqueue to it, and same-pid pairs never skip), so the
+            // covering transposed path flushes the identical entry.
+            (pid, Action::Flush(snap.flush_footprint(pid)?))
+        } else if let Some(i) = choice.checked_sub(a) {
+            // A crash-band sibling ([`Crashes::UpTo`] budget branch):
+            // the action is the crash delivery itself. Transposing it
+            // before `q`'s incoming action is always budget-sound: ops
+            // consume no crash budget, so the budget available at the
+            // parent is (crash incoming) one more than, or (op
+            // incoming) equal to, the budget here — either way enough
+            // for the covering path to deliver this crash first.
+            (node.alive[i], Action::Crash)
+        } else {
+            let p = node.alive[choice];
+            let act = if self.crash_fires(p, snap.own_steps(p)) {
+                Action::Crash
+            } else {
+                Action::Op(snap.pending_footprint(p)?)
+            };
+            (p, act)
+        };
+        if p >= *q {
+            return None;
+        }
+        // The TSO fence rule: an operation that drains the caller's
+        // store buffer (`tas`, `xcons_propose`, `fence`) may write
+        // several objects beyond its single-key footprint, so under TSO
+        // it conflicts with every adjacent action — never skip around
+        // it. SC is untouched (buffers are empty, the drain is a
+        // no-op, and the single-key footprint is exact).
+        if self.tso
+            && [&act_p, act_q].iter().any(|act| act.footprint().is_some_and(Footprint::fences))
+        {
+            return None;
+        }
+        // A crash delivery consumes no step but an operation (or a
+        // flush) does, so transposing a step-consuming action past an
+        // incoming crash is only valid when the covering path — the
+        // step *first*, then the crash — is not cut by the step budget
+        // in between: if the step lands exactly on `max_steps`, the
+        // covering run times out before the crash is delivered and
+        // reports the victim undecided instead of crashed. (Op-op,
+        // op-flush, and flush-flush transpositions are symmetric in
+        // steps, and crash-crash consumes none, so only this mixed
+        // case needs the guard.)
+        if matches!(act_q, Action::Crash)
+            && act_p.consumes_step()
+            && snap.steps() + 1 >= self.max_steps
+        {
+            return None;
+        }
+        if !act_p.commutes(act_q) {
+            return None;
+        }
+        let read_read = act_p.is_pure_read() && act_q.is_pure_read();
+        Some(if read_read { SkipKind::Sleep } else { SkipKind::Dpor })
+    }
+
+    /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
+    /// step. [`Crashes::Random`] never reaches here — `Explorer::run`
+    /// rejects it.
+    fn crash_fires(&self, pid: Pid, own: u64) -> bool {
+        match self.crashes {
+            Crashes::None => false,
+            Crashes::AtOwnStep(plan) => plan.iter().any(|&(p, s)| p == pid && s == own),
+            // Crash-count crashes are explicit crash-band branches, never
+            // a side effect of an op pick.
+            Crashes::UpTo(_) => false,
+            Crashes::Random { .. } => unreachable!("Explorer::run rejects random crashes"),
+        }
+    }
+}
+
+/// One worker's share of a layer: claims blocks forward from its home
+/// block `worker · blocks / workers`, wrapping around to steal the blocks
+/// the others have not reached, and runs each claimed block's jobs in
+/// order.
+fn work<F: Fn() -> Vec<Body>>(
+    shared: &Shared<'_, F>,
+    layer: &Layer,
+    worker: usize,
+    workers: usize,
+) -> Ran {
+    let count = layer.blocks.len();
+    let home = worker * count / workers;
+    let mut ran = Vec::new();
+    for block in (home..count).chain(0..home) {
+        let jobs = std::mem::take(&mut *layer.blocks[block].lock());
+        if !jobs.is_empty() {
+            let out = jobs.into_iter().map(|job| run_job(shared, &layer.visited, job)).collect();
+            ran.push((block, out));
+        }
+    }
+    ran
+}
+
+/// Runs one job and drops it: the node's last reference (and with it the
+/// parent snapshot) is usually released here, in the worker.
+fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, visited: &Visited, job: Job) -> JobResult {
+    match job {
+        Job::Expand { node, choice } => JobResult::Expanded(expand(shared, visited, &node, choice)),
+        Job::Tail { node } => JobResult::Tail(run_tail(shared, &node)),
     }
 }
 
@@ -1103,8 +1245,14 @@ fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
     }
 }
 
-/// Executes one scheduling decision from `node`.
-fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usize) -> Expanded {
+/// Executes one scheduling decision from `node`, probes the child
+/// against the committed visited set, and classifies it if kept.
+fn expand<F: Fn() -> Vec<Body>>(
+    shared: &Shared<'_, F>,
+    visited: &Visited,
+    node: &Node,
+    choice: usize,
+) -> Expanded {
     let mut crash = node.crash.clone();
     let mut rebuilt = None;
     let mut rehydration_replay = 0;
@@ -1130,13 +1278,12 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
     } else {
         (0, false, false)
     };
-    if shared.prune && shared.visited.contains(fp) {
+    if shared.prune && visited.contains(&fp) {
         return Expanded {
-            node: None,
+            child: None,
             fp,
             coarsened,
             symm_coarsened,
-            pre_pruned: true,
             crashed: crashed_now,
             flushed: flushed_now,
             rehydration_replay,
@@ -1148,7 +1295,7 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
     } else if crashed_now {
         Some((pid, Action::Crash))
     } else {
-        let executed = node.pending_footprint(pid).expect("an alive process parks at a gate");
+        let executed = parent.pending_footprint(pid).expect("an alive process parks at a gate");
         Some((pid, Action::Op(executed)))
     };
     let mut path = node.path.clone();
@@ -1165,11 +1312,10 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
         anchor: node.anchor.clone(),
     };
     Expanded {
-        node: Some(child),
+        child: Some(shared.classify(child)),
         fp,
         coarsened,
         symm_coarsened,
-        pre_pruned: false,
         crashed: crashed_now,
         flushed: flushed_now,
         rehydration_replay,

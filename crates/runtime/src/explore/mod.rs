@@ -20,13 +20,16 @@
 //! ([`ModelWorld::resume_from`]). Completed runs are checked from the
 //! terminal snapshot's synthesized [`RunReport`].
 //!
-//! The frontier is processed in depth layers by a work-deque of
-//! `(snapshot, pending choice)` jobs; [`Explorer::threads`] workers claim
-//! jobs from a shared cursor and probe a fingerprint-sharded visited set,
-//! while all state mutation happens in a canonical-order merge per layer
-//! — so reports are **byte-identical for any thread count** (the CI
-//! determinism gate diffs `threads=1` against `threads=2`). See the
-//! `frontier` module docs for the two-phase argument.
+//! The frontier is processed in depth layers of `(snapshot, pending
+//! choice)` jobs. A pool of [`Explorer::threads`] workers, spawned once
+//! per sweep, claims each layer in contiguous blocks of jobs: a worker
+//! resumes, fingerprints, probes the read-only visited set, and
+//! classifies every child it produces, then drops the parent where it
+//! last used it. All state mutation happens in a canonical-order merge
+//! per layer — so reports are **byte-identical for any thread count**
+//! (the CI determinism gate diffs `threads=1` against `threads=2` and
+//! `threads=3`). See the `frontier` module docs for the two-phase
+//! argument.
 //!
 //! # Prefix pruning ([`Reduction::prune_visited`])
 //!
@@ -445,10 +448,16 @@ impl Explorer {
         self
     }
 
-    /// Expands each frontier layer on `k` worker threads (clamped to at
-    /// least 1). The report is byte-identical for every `k`: workers only
-    /// execute and probe; all bookkeeping happens in a canonical-order
-    /// merge (see the `frontier` module).
+    /// Expands each frontier layer on `k` workers (clamped to at least
+    /// 1): the calling thread plus `k - 1` helper threads that live for
+    /// the whole sweep. Each layer is cut into blocks of 64 jobs that the
+    /// workers claim, starting from evenly spaced home blocks and then
+    /// stealing; a worker resumes, fingerprints, probes the read-only
+    /// visited set, and classifies each child. The report is
+    /// byte-identical for every `k`: every decision whose outcome depends
+    /// on order — visited insertion, the expansion budget, eviction,
+    /// checkpoint storage, violation checks, statistics — happens in a
+    /// canonical-order merge (see the `frontier` module).
     pub fn threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
@@ -1429,6 +1438,26 @@ mod tests {
         resume_as(4);
     }
 
+    /// Halts a spilled three-writer sweep after three layers, then
+    /// rewrites one `u64` field of its manifest through `corrupt`.
+    fn halt_and_corrupt_manifest(tag: &str, key: &str, corrupt: impl Fn(u64) -> u64) -> PathBuf {
+        let dir = sweep_dir(tag);
+        Explorer::new(3).spill_to(&dir).halt_after_layers(3).run(spill_bodies, |_r| Ok(()));
+        let manifest = dir.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        let prefix = format!("{key}=");
+        let recorded: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("manifest records {key}"))
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} is a u64"));
+        let rewritten =
+            text.replace(&format!("{prefix}{recorded}"), &format!("{prefix}{}", corrupt(recorded)));
+        std::fs::write(&manifest, rewritten).expect("rewrite manifest");
+        dir
+    }
+
     /// A manifest whose `visited_len` is not a multiple of the 8-byte
     /// fingerprint size is corrupt — resume must refuse it instead of
     /// silently dropping the trailing bytes (which would resurrect
@@ -1436,25 +1465,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a multiple of the 8-byte")]
     fn resume_rejects_misaligned_visited_len() {
-        let dir = sweep_dir("misaligned-visited");
-        Explorer::new(3).spill_to(&dir).halt_after_layers(3).run(spill_bodies, |_r| Ok(()));
-        let manifest = dir.join("MANIFEST");
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        let recorded: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("visited_len="))
-            .expect("manifest records visited_len")
-            .parse()
-            .expect("visited_len is a u64");
-        assert!(recorded >= 8, "the halted sweep must have committed visited fingerprints");
-        std::fs::write(
-            &manifest,
-            text.replace(
-                &format!("visited_len={recorded}"),
-                &format!("visited_len={}", recorded - 3),
-            ),
-        )
-        .expect("rewrite manifest");
+        let dir = halt_and_corrupt_manifest("misaligned-visited", "visited_len", |recorded| {
+            assert!(recorded >= 8, "the halted sweep must have committed visited fingerprints");
+            recorded - 3
+        });
+        Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
+    }
+
+    /// A manifest recording more segment bytes than `segments.bin` holds
+    /// is corrupt: resume must refuse it instead of zero-extending the
+    /// file to the recorded length.
+    #[test]
+    #[should_panic(expected = "cannot resume sweep directory")]
+    fn resume_rejects_segments_len_past_the_file() {
+        let dir =
+            halt_and_corrupt_manifest("long-segments", "segments_len", |recorded| recorded + 4096);
+        Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
+    }
+
+    /// A manifest recording fewer segment bytes than a pending node's
+    /// anchor record needs is corrupt: resume must refuse it up front
+    /// instead of truncating the record away and failing at the first
+    /// rehydration.
+    #[test]
+    #[should_panic(expected = "cannot resume sweep directory")]
+    fn resume_rejects_segments_len_below_an_anchor() {
+        let dir = halt_and_corrupt_manifest("short-segments", "segments_len", |recorded| {
+            assert!(recorded > 8, "the halted sweep must have spilled its root anchor");
+            8
+        });
         Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()));
     }
 
@@ -1485,6 +1524,33 @@ mod tests {
         if let Err(payload) = spilled {
             std::panic::resume_unwind(payload);
         }
+    }
+
+    /// A job that panics on a helper thread fails the sweep with its own
+    /// message: the pool hands the panic to the calling thread, which
+    /// resumes it, instead of leaving the merge waiting. Only process 2
+    /// panics, at its fourth pick; the first such job is the last of the
+    /// 81 jobs of layer 3 (the first layer wider than one block), in the
+    /// second block — the helper's home block.
+    #[test]
+    #[should_panic(expected = "failed: boom")]
+    fn worker_panics_reach_the_caller() {
+        let bodies = || {
+            (0..3u64)
+                .map(|i| {
+                    Box::new(move |env: Env<ModelWorld>| {
+                        for j in 0..4 {
+                            env.reg_write(ObjKey::new(66, i, j), j);
+                        }
+                        if i == 2 {
+                            panic!("boom");
+                        }
+                        i
+                    }) as Body
+                })
+                .collect()
+        };
+        Explorer::new(3).reduction(Reduction::none()).threads(2).run(bodies, |_r| Ok(()));
     }
 
     /// Every thread count must produce the byte-identical report — the

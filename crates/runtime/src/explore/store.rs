@@ -419,11 +419,16 @@ fn encode_node(w: &mut ByteWriter, node: &Node, n: usize) -> Result<(), CodecErr
     Ok(())
 }
 
+/// A state-file decoding failure: a malformed record, or a well-formed
+/// one that contradicts the manifest.
+type DecodeError = Box<dyn std::error::Error + Send + Sync>;
+
 fn decode_node(
     r: &mut ByteReader<'_>,
     policy: &Crashes,
     segments: &Arc<File>,
-) -> Result<Node, CodecError> {
+    segments_len: u64,
+) -> Result<Node, DecodeError> {
     let path = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
     let alive = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
     let incoming = match r.u8()? {
@@ -437,7 +442,9 @@ fn decode_node(
             let pid = r.usize()?;
             Some((pid, Action::Flush(decode_footprint(r)?)))
         }
-        tag => return Err(CodecError::BadTag { what: "incoming action", tag: u64::from(tag) }),
+        tag => {
+            return Err(CodecError::BadTag { what: "incoming action", tag: u64::from(tag) }.into())
+        }
     };
     let crash = CrashState::restore(policy.clone(), r.usize()?);
     let pending = (0..r.usize()?)
@@ -462,6 +469,16 @@ fn decode_node(
             let depth = r.usize()?;
             let offset = r.u64()?;
             let len = r.u64()?;
+            // A record past the segment bytes the manifest committed was
+            // never written (or was torn off): refuse it here rather
+            // than let a rehydration allocate and read `len` bytes.
+            if !offset.checked_add(len).is_some_and(|end| end <= segments_len) {
+                return Err(format!(
+                    "anchor record at offset {offset} of {len} bytes ends past the manifest's \
+                     segments_len {segments_len}"
+                )
+                .into());
+            }
             let crashes = r.usize()?;
             Some(Anchor {
                 depth,
@@ -469,7 +486,7 @@ fn decode_node(
                 crash: CrashState::restore(policy.clone(), crashes),
             })
         }
-        tag => return Err(CodecError::BadTag { what: "anchor", tag: u64::from(tag) }),
+        tag => return Err(CodecError::BadTag { what: "anchor", tag: u64::from(tag) }.into()),
     };
     Ok(Node {
         store: Store::Evicted { pending, flush_heads, own_steps, steps },
@@ -485,14 +502,15 @@ fn decode_state(
     bytes: &[u8],
     policy: &Crashes,
     segments: &Arc<File>,
-) -> Result<(Vec<Violation>, Vec<Job>), CodecError> {
+    segments_len: u64,
+) -> Result<(Vec<Violation>, Vec<Job>), DecodeError> {
     let mut r = ByteReader::new(bytes);
     if r.bytes(4)? != STATE_MAGIC.as_slice() {
-        return Err(CodecError::BadMagic);
+        return Err(CodecError::BadMagic.into());
     }
     match r.u16()? {
         CODEC_VERSION => {}
-        v => return Err(CodecError::UnsupportedVersion(v)),
+        v => return Err(CodecError::UnsupportedVersion(v).into()),
     }
     let mut violations = Vec::new();
     for _ in 0..r.usize()? {
@@ -504,7 +522,7 @@ fn decode_state(
     }
     let mut jobs = Vec::new();
     for _ in 0..r.usize()? {
-        let node = Arc::new(decode_node(&mut r, policy, segments)?);
+        let node = Arc::new(decode_node(&mut r, policy, segments, segments_len)?);
         match r.u8()? {
             0 => jobs.push(Job::Tail { node }),
             1 => {
@@ -512,7 +530,7 @@ fn decode_state(
                     jobs.push(Job::Expand { node: Arc::clone(&node), choice: r.usize()? });
                 }
             }
-            tag => return Err(CodecError::BadTag { what: "job kind", tag: u64::from(tag) }),
+            tag => return Err(CodecError::BadTag { what: "job kind", tag: u64::from(tag) }.into()),
         }
     }
     r.finish()?;
@@ -794,7 +812,17 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     let state_bytes = fs::read(dir.join(state_name))?;
     let segments =
         Arc::new(OpenOptions::new().read(true).append(true).open(dir.join("segments.bin"))?);
-    let (violations, jobs) = decode_state(&state_bytes, &crashes, &segments).map_err(bad_data)?;
+    // The torn-tail truncation below may only shrink the file: a longer
+    // recorded length means a corrupt manifest, and `set_len` would
+    // zero-extend the segments to match it.
+    let file_len = segments.metadata()?.len();
+    if segments_len > file_len {
+        return Err(bad_data(format!(
+            "manifest segments_len {segments_len} exceeds segments.bin's {file_len} bytes"
+        )));
+    }
+    let (violations, jobs) =
+        decode_state(&state_bytes, &crashes, &segments, segments_len).map_err(bad_data)?;
     if m.field("status")? == "done" {
         return Ok(OpenedSweep::Done(ExploreReport {
             complete: complete && violations.is_empty(),

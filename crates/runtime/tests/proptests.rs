@@ -679,12 +679,23 @@ proptest! {
         }
     }
 
-    /// Parallel frontier expansion is invisible: `threads = 1` and
-    /// `threads = 4` produce byte-identical statistics (visited/pruned
-    /// counts included) and identical violation lists — messages *and*
-    /// schedules — on random small programs.
+    /// Parallel frontier expansion is invisible: `threads = 1`, `2` and
+    /// `3` produce byte-identical statistics (visited/pruned counts
+    /// included) and identical violation lists — messages *and*
+    /// schedules — on random small programs. The expansion `budget`
+    /// often binds part-way through a layer, and part-way through one
+    /// node's choice list, so the merge's replay of the workers'
+    /// precomputed skip verdicts is checked at a budget stop, with DPOR
+    /// and pruning on. Up to five operations per process give the larger
+    /// programs layers of several 64-job blocks, which the workers share
+    /// out (unevenly, at an odd worker count) and steal.
     #[test]
-    fn parallel_exploration_is_deterministic(seed in 0u64..1_000_000, n in 2usize..4, ops in 1usize..3) {
+    fn parallel_exploration_is_deterministic(
+        seed in 0u64..1_000_000,
+        n in 2usize..4,
+        ops in 1usize..6,
+        budget in 1u64..4_000,
+    ) {
         let make = move || small_program(seed, n, ops);
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
@@ -696,7 +707,7 @@ proptest! {
         };
         let sweep = |threads: usize| {
             let out = Explorer::new(n)
-                .limits(ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() })
+                .limits(ExploreLimits { max_expansions: budget, max_steps: 1_000, ..Default::default() })
                 .collect_all(true)
                 .threads(threads)
                 .run(make, check);
@@ -705,8 +716,13 @@ proptest! {
             (out.stats.summary(), out.complete, violations)
         };
         let sequential = sweep(1);
-        let parallel = sweep(4);
-        prop_assert_eq!(sequential, parallel, "thread count must be invisible (seed {})", seed);
+        for threads in [2, 3] {
+            prop_assert_eq!(
+                &sequential,
+                &sweep(threads),
+                "{} threads must be invisible (seed {}, budget {})", threads, seed, budget
+            );
+        }
     }
 
     /// Snapshot-resume oracle: driving the snapshot engine down an
