@@ -344,6 +344,13 @@ fn fig1_n7_exhaustive_symm_spill_baseline() {
     );
     assert!(out.stats.spilled > 0, "checkpoint layers must spill to the segment file");
     assert!(out.stats.store_reads > 0, "the binding ceiling must rehydrate from disk");
+    assert!(
+        out.stats.store_reads < out.stats.evicted,
+        "rehydration must share anchor loads along its replay trail ({} reads for {} evicted \
+         nodes)",
+        out.stats.store_reads,
+        out.stats.evicted
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -795,6 +802,13 @@ fn fig6_n4_spilled_sweep_report_is_byte_identical() {
     assert_eq!(in_memory.violations, spilled.violations);
     assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
     assert!(spilled.stats.store_reads > 0, "the 64-node ceiling must rehydrate from disk");
+    assert!(
+        spilled.stats.store_reads < spilled.stats.evicted,
+        "rehydration must share anchor loads along its replay trail ({} reads for {} evicted \
+         nodes)",
+        spilled.stats.store_reads,
+        spilled.stats.evicted
+    );
     assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
     in_memory.assert_no_violation();
     let _ = std::fs::remove_dir_all(&dir);

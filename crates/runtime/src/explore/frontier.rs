@@ -96,9 +96,20 @@
 //! [`super::Explorer::checkpoint_every`]`= k`) plus that ancestor's
 //! adversary state. An evicted expansion therefore replays at most `k`
 //! decisions (`anchor.depth ..` of the node's path), turning the old
-//! `O(depth)` root replay into `O(k)`; the longest suffix actually
-//! replayed is reported as
+//! `O(depth)` root replay into `O(k)`; the longest suffix one job
+//! actually replayed is reported as
 //! [`super::ExploreStats::max_rehydration_replay`].
+//!
+//! Nor does each job start from the anchor: the worker keeps a
+//! [`Trail`] per claimed block — the snapshots the last rehydration
+//! passed through, from its anchor down to the node. The next evicted
+//! job under the same anchor keeps the trail's longest common path
+//! prefix and replays only the rest, so a node's other choices replay
+//! nothing, a sibling one decision and a cousin two, and the anchor is
+//! loaded once per run of jobs under it. The trail starts empty in every
+//! block, so the work it saves depends only on the job list, never on
+//! which worker ran the block. The resident ceiling bounds the frontier;
+//! the trails add at most `(k + 1) × threads` working snapshots.
 //!
 //! # Storage seam (see [`super::store`])
 //!
@@ -112,7 +123,7 @@
 //! byte-for-byte the classic engine. The disk-spilling store appends
 //! the encoded snapshot to a segment file and returns a record locator,
 //! so checkpoint layers need no exemption: the resident ceiling really
-//! bounds RAM, and rehydration reads the anchor back from disk
+//! bounds RAM, and a trail reads its anchor back from disk
 //! ([`super::ExploreStats::store_reads`]). The store also persists
 //! every layer boundary ([`SnapshotStore::barrier`], called by
 //! [`Engine::drive`] right after each merge — the point where the
@@ -333,12 +344,8 @@ struct Expanded {
     /// The executed decision flushed a store-buffer head (a TSO
     /// flush-band branch) — feeds the `flushes=` counter.
     flushed: bool,
-    /// Choice-path suffix length a rehydration replayed (0 if the parent
-    /// was resident) — feeds `max_rehydration_replay`.
-    rehydration_replay: u64,
-    /// Checkpoint records this job read back from disk storage (0 under
-    /// the in-memory store) — feeds `store_reads`.
-    store_reads: u64,
+    /// What rehydrating the parent cost this job.
+    rehydration: Rehydration,
 }
 
 struct TailRun {
@@ -347,10 +354,19 @@ struct TailRun {
     choices: Vec<usize>,
     /// Total picks from the root (the run's schedule depth).
     depth: usize,
-    /// See [`Expanded::rehydration_replay`].
-    rehydration_replay: u64,
-    /// See [`Expanded::store_reads`].
-    store_reads: u64,
+    /// What rehydrating the node cost this job.
+    rehydration: Rehydration,
+}
+
+/// One job's rehydration work, both zero when its node was resident.
+#[derive(Clone, Copy, Default)]
+struct Rehydration {
+    /// Decisions replayed along the [`Trail`] — feeds
+    /// `max_rehydration_replay`.
+    replayed: u64,
+    /// Anchors read back from disk storage (at most one; always 0 under
+    /// the in-memory store) — feeds `store_reads`.
+    reads: u64,
 }
 
 /// A kept node, classified for [`Engine::admit`] by the worker that
@@ -443,16 +459,13 @@ struct Shared<'a, F> {
     dpor: bool,
     /// Fingerprint children by the observation quotient.
     quotient: bool,
-    /// Fold declared view summaries into live observation histories
-    /// (fixed at the root snapshot; kept here for rehydration roots).
-    viewsum: bool,
     /// Fingerprint children by the pid-symmetry canonical form (`Some`
     /// only when the reduction is on, the program declared a spec, and
     /// the adversary is pid-blind — [`Crashes::None`] or
     /// [`Crashes::UpTo`]; see [`Engine::with_store`]).
     symmetry: Option<Symmetry>,
     /// Explore under the TSO memory model (fixed at the root snapshot;
-    /// kept here for rehydration roots).
+    /// kept here for the partial-order rule's fence check).
     tso: bool,
     max_steps: u64,
     max_depth: usize,
@@ -572,7 +585,6 @@ where
             prune: ex.reduction.prune_visited,
             dpor: ex.reduction.dpor,
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
-            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
             tso: ex.tso,
             max_steps: ex.limits.max_steps,
@@ -602,7 +614,7 @@ where
         let snap = ModelWorld::snapshot_root_tso(
             shared.n,
             shared.prune,
-            shared.viewsum,
+            shared.prune && self.ex.reduction.view_summaries,
             shared.tso,
             (shared.make_bodies)(),
         );
@@ -800,6 +812,7 @@ where
         let Store::Resident(snap) = &node.store else {
             return;
         };
+        debug_assert!(node.anchor.is_some(), "an evicted node must carry its rehydration anchor");
         self.stats.evicted += 1;
         let pending = (0..self.ex.n).map(|p| snap.pending_footprint(p)).collect();
         let flush_heads = (0..self.ex.n).map(|p| snap.flush_footprint(p)).collect();
@@ -870,15 +883,11 @@ where
             match result {
                 JobResult::Tail(tail) => {
                     self.stats.depth_limited_runs += 1;
-                    self.stats.max_rehydration_replay =
-                        self.stats.max_rehydration_replay.max(tail.rehydration_replay);
-                    self.stats.store_reads += tail.store_reads;
+                    self.account(tail.rehydration);
                     self.finish_run(tail.report, tail.choices, tail.depth);
                 }
                 JobResult::Expanded(child) => {
-                    self.stats.max_rehydration_replay =
-                        self.stats.max_rehydration_replay.max(child.rehydration_replay);
-                    self.stats.store_reads += child.store_reads;
+                    self.account(child.rehydration);
                     if child.crashed {
                         self.stats.crash_branches += 1;
                     }
@@ -906,6 +915,13 @@ where
             }
         }
         jobs
+    }
+
+    /// Folds one job's rehydration work into the off-summary counters.
+    fn account(&mut self, rehydration: Rehydration) {
+        self.stats.max_rehydration_replay =
+            self.stats.max_rehydration_replay.max(rehydration.replayed);
+        self.stats.store_reads += rehydration.reads;
     }
 
     /// Accounts one completed run and checks it; a violation is confirmed
@@ -1093,7 +1109,7 @@ impl<F> Shared<'_, F> {
 /// One worker's share of a layer: claims blocks forward from its home
 /// block `worker · blocks / workers`, wrapping around to steal the blocks
 /// the others have not reached, and runs each claimed block's jobs in
-/// order.
+/// order along a fresh [`Trail`].
 fn work<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     layer: &Layer,
@@ -1106,7 +1122,11 @@ fn work<F: Fn() -> Vec<Body>>(
     for block in (home..count).chain(0..home) {
         let jobs = std::mem::take(&mut *layer.blocks[block].lock());
         if !jobs.is_empty() {
-            let out = jobs.into_iter().map(|job| run_job(shared, &layer.visited, job)).collect();
+            let mut trail = Trail::default();
+            let out = jobs
+                .into_iter()
+                .map(|job| run_job(shared, &layer.visited, &mut trail, job))
+                .collect();
             ran.push((block, out));
         }
     }
@@ -1115,10 +1135,91 @@ fn work<F: Fn() -> Vec<Body>>(
 
 /// Runs one job and drops it: the node's last reference (and with it the
 /// parent snapshot) is usually released here, in the worker.
-fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, visited: &Visited, job: Job) -> JobResult {
+fn run_job<F: Fn() -> Vec<Body>>(
+    shared: &Shared<'_, F>,
+    visited: &Visited,
+    trail: &mut Trail,
+    job: Job,
+) -> JobResult {
     match job {
-        Job::Expand { node, choice } => JobResult::Expanded(expand(shared, visited, &node, choice)),
-        Job::Tail { node } => JobResult::Tail(run_tail(shared, &node)),
+        Job::Expand { node, choice } => {
+            JobResult::Expanded(expand(shared, visited, trail, &node, choice))
+        }
+        Job::Tail { node } => JobResult::Tail(run_tail(shared, trail, &node)),
+    }
+}
+
+/// A block's replay trail: the snapshots the last evicted node's
+/// rehydration passed through, from its [`Anchor`] down to the node.
+/// Evicted jobs under the same anchor reuse its longest common prefix.
+#[derive(Default)]
+struct Trail {
+    /// Depth of the anchor the trail starts from.
+    depth: usize,
+    /// Choice path of the last node rehydrated; its first `depth`
+    /// entries name the anchor.
+    path: Vec<usize>,
+    /// `states[i]` is the snapshot and adversary state after
+    /// `path[..depth + i]`: the anchor's at the bottom, the last
+    /// rehydrated node's on top — at most
+    /// [`super::Explorer::checkpoint_every`]` + 1` entries.
+    states: Vec<(Arc<Snapshot>, CrashState)>,
+}
+
+impl Trail {
+    /// The node's snapshot: borrowed if resident; if evicted, rebuilt by
+    /// replaying the part of its choice path the trail does not already
+    /// hold — every replayed decision a deterministic resume, so the
+    /// result is identical to the snapshot that was evicted. The anchor
+    /// is loaded (an `Arc` clone, or read back and decoded from the
+    /// segment file) only when it differs from the trail's. Anchors are
+    /// named by depth and path prefix, never by `Arc` or record
+    /// identity, so a freed and reused allocation cannot alias one.
+    fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
+        &'s mut self,
+        shared: &Shared<'_, F>,
+        node: &'s Node,
+    ) -> (&'s Snapshot, Rehydration) {
+        if let Store::Resident(snap) = &node.store {
+            return (snap, Rehydration::default());
+        }
+        let anchor = node.anchor.as_ref().expect(
+            "an evicted node carries an anchor: depth 0 is a checkpoint layer, so every node \
+             admitted while eviction is possible installs or inherits one",
+        );
+        let depth = anchor.depth;
+        let mut cost = Rehydration::default();
+        let same_anchor = !self.states.is_empty()
+            && self.depth == depth
+            && self.path[..depth] == node.path[..depth];
+        if same_anchor {
+            let suffixes = self.path[depth..].iter().zip(&node.path[depth..]);
+            let common = suffixes.take_while(|(a, b)| a == b).count();
+            self.states.truncate(common + 1);
+        } else {
+            let base = match &anchor.snap {
+                SnapRef::Mem(snap) => Arc::clone(snap),
+                SnapRef::Disk(disk) => {
+                    cost.reads = 1;
+                    Arc::new(disk.read().unwrap_or_else(|e| {
+                        panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
+                    }))
+                }
+            };
+            self.depth = depth;
+            self.states.clear();
+            self.states.push((base, anchor.crash.clone()));
+        }
+        let from = depth + self.states.len() - 1;
+        for &choice in &node.path[from..] {
+            let (snap, crash) = self.states.last().expect("the trail holds its anchor");
+            let mut crash = crash.clone();
+            let (next, _, _, _) = apply_choice(shared, snap, &snap.alive(), &mut crash, choice);
+            self.states.push((Arc::new(next), crash));
+        }
+        cost.replayed = (node.path.len() - from) as u64;
+        self.path.clone_from(&node.path);
+        (&self.states.last().expect("the trail holds its anchor").0, cost)
     }
 }
 
@@ -1177,87 +1278,17 @@ fn apply_choice<F: Fn() -> Vec<Body>>(
     }
 }
 
-/// Rebuilds an evicted node's snapshot by replaying its choice-path
-/// suffix from its [`Anchor`] — every replayed decision a deterministic
-/// resume from a copy of the anchor's snapshot (cloned from memory or
-/// read back and decoded from the segment file, counted in `reads`) and
-/// adversary state, so the result is identical to the snapshot that was
-/// evicted. At most [`super::Explorer::checkpoint_every`] decisions are
-/// replayed (the anchor is the nearest checkpoint-depth ancestor).
-/// Falls back to a fresh root for anchorless nodes — only the root
-/// itself, which is never evicted, so the fallback is defensive.
-fn rehydrate<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    node: &Node,
-    reads: &mut u64,
-) -> (Snapshot, u64) {
-    let (mut snap, mut crash, from) = match &node.anchor {
-        Some(anchor) => {
-            let base = match &anchor.snap {
-                SnapRef::Mem(snap) => (**snap).clone(),
-                SnapRef::Disk(disk) => {
-                    *reads += 1;
-                    disk.read().unwrap_or_else(|e| {
-                        panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
-                    })
-                }
-            };
-            (base, anchor.crash.clone(), anchor.depth)
-        }
-        None => (
-            ModelWorld::snapshot_root_tso(
-                shared.n,
-                shared.prune,
-                shared.viewsum,
-                shared.tso,
-                (shared.make_bodies)(),
-            ),
-            CrashState::new(shared.crashes.clone()),
-            0,
-        ),
-    };
-    let suffix = &node.path[from..];
-    for &choice in suffix {
-        let alive = snap.alive();
-        let (next, _, _, _) = apply_choice(shared, &snap, &alive, &mut crash, choice);
-        snap = next;
-    }
-    (snap, suffix.len() as u64)
-}
-
-/// The node's snapshot: borrowed if resident, rebuilt into `slot` if
-/// evicted (also reporting the replayed suffix length and any disk
-/// reads).
-fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    node: &'s Node,
-    slot: &'s mut Option<Snapshot>,
-    replayed: &mut u64,
-    reads: &mut u64,
-) -> &'s Snapshot {
-    match &node.store {
-        Store::Resident(snap) => snap,
-        Store::Evicted { .. } => {
-            let (snap, suffix) = rehydrate(shared, node, reads);
-            *replayed = suffix;
-            &*slot.insert(snap)
-        }
-    }
-}
-
 /// Executes one scheduling decision from `node`, probes the child
 /// against the committed visited set, and classifies it if kept.
 fn expand<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     visited: &Visited,
+    trail: &mut Trail,
     node: &Node,
     choice: usize,
 ) -> Expanded {
     let mut crash = node.crash.clone();
-    let mut rebuilt = None;
-    let mut rehydration_replay = 0;
-    let mut store_reads = 0;
-    let parent = snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads);
+    let (parent, rehydration) = trail.snapshot_of(shared, node);
     // The flushed head's footprint must be read from the *parent* (the
     // child's buffer no longer holds it).
     let flushed_head = choice.checked_sub(2 * node.alive.len()).map(|pid| {
@@ -1286,8 +1317,7 @@ fn expand<F: Fn() -> Vec<Body>>(
             symm_coarsened,
             crashed: crashed_now,
             flushed: flushed_now,
-            rehydration_replay,
-            store_reads,
+            rehydration,
         };
     }
     let incoming = if let Some(head) = flushed_head {
@@ -1318,19 +1348,19 @@ fn expand<F: Fn() -> Vec<Body>>(
         symm_coarsened,
         crashed: crashed_now,
         flushed: flushed_now,
-        rehydration_replay,
-        store_reads,
+        rehydration,
     }
 }
 
 /// Resumes `node` to completion along the canonical choice-0 suffix —
 /// the depth-bounded sweep's "runs still execute to completion" path.
-fn run_tail<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> TailRun {
-    let mut rebuilt = None;
-    let mut rehydration_replay = 0;
-    let mut store_reads = 0;
-    let mut snap =
-        snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads).clone();
+fn run_tail<F: Fn() -> Vec<Body>>(
+    shared: &Shared<'_, F>,
+    trail: &mut Trail,
+    node: &Node,
+) -> TailRun {
+    let (snap, rehydration) = trail.snapshot_of(shared, node);
+    let mut snap = snap.clone();
     let mut crash = node.crash.clone();
     let mut choices = node.path.clone();
     let report = loop {
@@ -1356,5 +1386,5 @@ fn run_tail<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> TailRu
             snap = ModelWorld::resume_flush(&snap, pid);
         }
     };
-    TailRun { report, depth: choices.len(), choices, rehydration_replay, store_reads }
+    TailRun { report, depth: choices.len(), choices, rehydration }
 }

@@ -143,7 +143,9 @@
 //! exempt from eviction, and every descendant keeps an `Arc` to its
 //! nearest such ancestor's snapshot — so a rehydration replays at most
 //! `k` decisions instead of `O(depth)` (pinned by a unit test on
-//! [`ExploreStats::max_rehydration_replay`]).
+//! [`ExploreStats::max_rehydration_replay`]). Within a block of jobs,
+//! rehydrations share one replay trail: each replays only the suffix it
+//! does not share with the previous evicted job in the block.
 //!
 //! # Crashes and bounds
 //!
@@ -1249,6 +1251,44 @@ mod tests {
         assert_eq!(reloaded.complete, spilled.complete);
         assert_eq!(reloaded.violations, spilled.violations);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rehydration work is a function of the job list alone: every
+    /// claimed block starts its replay trail empty, so one worker and
+    /// three (uneven home ranges, stealing) evict, read back and replay
+    /// exactly the same amounts — and the trail reads fewer anchors
+    /// than there are evicted nodes. The unreduced tree gives layers of
+    /// many blocks, so a trail carried from one block into the next
+    /// would change `store_reads` with the thread count.
+    #[test]
+    fn spilled_rehydration_counts_ignore_the_thread_count() {
+        let sweep = |threads: usize| {
+            let dir = sweep_dir(&format!("threads-{threads}"));
+            let out = Explorer::new(3)
+                .threads(threads)
+                .reduction(Reduction::none())
+                .resident_ceiling(1)
+                .checkpoint_every(4)
+                .spill_to(&dir)
+                .fixture_id("unit-thread-invariance")
+                .run(spill_bodies, |_r| Ok(()));
+            let _ = std::fs::remove_dir_all(&dir);
+            out.stats
+        };
+        let one = sweep(1);
+        let three = sweep(3);
+        let counts = |s: &ExploreStats| {
+            (s.evicted, s.store_reads, s.max_rehydration_replay, s.spilled, s.spill_bytes)
+        };
+        assert_eq!(counts(&one), counts(&three));
+        assert_eq!(one.summary(), three.summary());
+        assert!(one.store_reads > 0, "a ceiling of 1 must rehydrate from disk");
+        assert!(
+            one.store_reads < one.evicted,
+            "the trail must share anchor loads ({} reads for {} evicted nodes)",
+            one.store_reads,
+            one.evicted
+        );
     }
 
     /// Halting a spilled sweep between barriers and resuming it must

@@ -97,10 +97,11 @@ pub struct ExploreStats {
     /// ceiling is a memory policy, not a search-shape parameter, and
     /// bounded and unbounded runs must print byte-identical lines.
     pub evicted: u64,
-    /// Longest choice-path suffix any single rehydration replayed —
-    /// bounded by [`super::Explorer::checkpoint_every`] (every node
-    /// anchors to its nearest checkpointed ancestor's resident
-    /// snapshot), and `0` when nothing was evicted. Like
+    /// Most decisions any one job replayed to rehydrate its evicted
+    /// node — only the suffix its block's replay trail did not already
+    /// hold, so still bounded by [`super::Explorer::checkpoint_every`]
+    /// (every node anchors to its nearest checkpointed ancestor's
+    /// stored snapshot), and `0` when nothing was evicted. Like
     /// [`ExploreStats::evicted`], a memory-policy observable excluded
     /// from [`ExploreStats::summary`].
     pub max_rehydration_replay: u64,
@@ -116,8 +117,9 @@ pub struct ExploreStats {
     /// [`ExploreStats::summary`].
     pub spill_bytes: u64,
     /// Checkpoint records read back and decoded from the segment file
-    /// to rehydrate evicted nodes (one per disk-anchored rehydration).
-    /// Excluded from [`ExploreStats::summary`].
+    /// to rehydrate evicted nodes (one per anchor load per block: jobs
+    /// under the anchor a block's replay trail already holds read
+    /// nothing). Excluded from [`ExploreStats::summary`].
     pub store_reads: u64,
     /// Deepest completed run (in picks) seen.
     pub max_depth: usize,

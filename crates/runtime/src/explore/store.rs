@@ -401,21 +401,20 @@ fn encode_node(w: &mut ByteWriter, node: &Node, n: usize) -> Result<(), CodecErr
         w.put_u64(s);
     }
     w.put_u64(steps);
-    match &node.anchor {
-        None => w.put_u8(0),
-        Some(anchor) => {
-            let SnapRef::Disk(disk) = &anchor.snap else {
-                // Under the spill store every `put` returns a disk ref,
-                // so a memory anchor here is an engine bug.
-                return Err(CodecError::UnsupportedValue { context: "in-memory anchor" });
-            };
-            w.put_u8(1);
-            w.put_usize(anchor.depth);
-            w.put_u64(disk.offset);
-            w.put_u64(disk.len);
-            w.put_usize(anchor.crash.crashes_so_far());
-        }
-    }
+    // Under the spill store every node is anchored (depth 0 is a
+    // checkpoint layer) and every `put` returns a disk ref, so anything
+    // else here is an engine bug. Tag 0 (no anchor) is never written.
+    let Some(anchor) = &node.anchor else {
+        return Err(CodecError::UnsupportedValue { context: "anchorless frontier node" });
+    };
+    let SnapRef::Disk(disk) = &anchor.snap else {
+        return Err(CodecError::UnsupportedValue { context: "in-memory anchor" });
+    };
+    w.put_u8(1);
+    w.put_usize(anchor.depth);
+    w.put_u64(disk.offset);
+    w.put_u64(disk.len);
+    w.put_usize(anchor.crash.crashes_so_far());
     Ok(())
 }
 
@@ -463,10 +462,18 @@ fn decode_node(
         .collect::<Result<Vec<_>, _>>()?;
     let own_steps = (0..r.usize()?).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
     let steps = r.u64()?;
+    // Every resumed node is evicted, so it must name the anchor its
+    // rehydration starts from.
     let anchor = match r.u8()? {
-        0 => None,
         1 => {
             let depth = r.usize()?;
+            if depth > path.len() {
+                return Err(format!(
+                    "anchor depth {depth} exceeds its node's depth {}",
+                    path.len()
+                )
+                .into());
+            }
             let offset = r.u64()?;
             let len = r.u64()?;
             // A record past the segment bytes the manifest committed was
@@ -480,11 +487,11 @@ fn decode_node(
                 .into());
             }
             let crashes = r.usize()?;
-            Some(Anchor {
+            Anchor {
                 depth,
                 snap: SnapRef::Disk(DiskRef { file: Arc::clone(segments), offset, len }),
                 crash: CrashState::restore(policy.clone(), crashes),
-            })
+            }
         }
         tag => return Err(CodecError::BadTag { what: "anchor", tag: u64::from(tag) }.into()),
     };
@@ -494,7 +501,7 @@ fn decode_node(
         alive,
         incoming,
         crash,
-        anchor,
+        anchor: Some(anchor),
     })
 }
 
@@ -875,4 +882,53 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         layer: m.u64("layer")?,
         symm_spec: m.bool("symm_spec")?,
     })))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frontier node record at path `[0, 1]` with empty scheduling
+    /// metadata, closed by whatever anchor field `anchor` writes.
+    fn node_record(anchor: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for field in [2, 0, 1, 0] {
+            w.put_usize(field); // path length, path, alive-set length
+        }
+        w.put_u8(0); // no incoming action
+        for field in [0, 0, 0, 0] {
+            w.put_usize(field); // crashes, pending, flush heads, own steps
+        }
+        w.put_u64(0); // steps
+        anchor(&mut w);
+        w.into_vec()
+    }
+
+    fn decode(record: &[u8]) -> Result<Node, DecodeError> {
+        let segments = Arc::new(File::open(std::env::current_exe()?)?);
+        decode_node(&mut ByteReader::new(record), &Crashes::None, &segments, 64)
+    }
+
+    fn anchor_at(depth: usize) -> impl FnOnce(&mut ByteWriter) {
+        move |w| {
+            w.put_u8(1);
+            w.put_usize(depth);
+            w.put_u64(0); // offset
+            w.put_u64(8); // length
+            w.put_usize(0); // crashes
+        }
+    }
+
+    /// Every resumed node is rehydrated from its anchor, so a record
+    /// without one, or with one deeper than the node, is refused at
+    /// decode time instead of failing the rehydration.
+    #[test]
+    fn node_records_must_carry_an_anchor_above_the_node() {
+        let node = decode(&node_record(anchor_at(2))).expect("a well-formed record decodes");
+        assert_eq!(node.anchor.map(|a| a.depth), Some(2));
+        let missing = decode(&node_record(|w| w.put_u8(0))).err().expect("no anchor");
+        assert!(missing.to_string().contains("unknown anchor tag 0"), "{missing}");
+        let deep = decode(&node_record(anchor_at(3))).err().expect("anchor below the node");
+        assert!(deep.to_string().contains("anchor depth 3 exceeds"), "{deep}");
+    }
 }

@@ -567,7 +567,8 @@ proptest! {
     /// resident ceiling (evict nearly every snapshot, rehydrate from the
     /// operation-log cursors on demand) yields byte-identical summaries
     /// and violation lists on random small programs, under one and two
-    /// expansion workers alike.
+    /// expansion workers alike — and the eviction and rehydration-replay
+    /// counts do not depend on the worker count either.
     #[test]
     fn bounded_frontier_reports_are_byte_identical(
         seed in 0u64..1_000_000,
@@ -583,6 +584,7 @@ proptest! {
             }
             Ok(())
         };
+        let mut rehydration = Vec::new();
         for threads in [1usize, 2] {
             let sweep = |ceiling: usize| {
                 let out = Explorer::new(n)
@@ -600,17 +602,23 @@ proptest! {
                     .iter()
                     .map(|v| (v.choices.clone(), v.message.clone()))
                     .collect();
-                (out.stats.summary(), out.complete, violations, out.stats.evicted)
+                let counts = (out.stats.evicted, out.stats.max_rehydration_replay);
+                (out.stats.summary(), out.complete, violations, counts)
             };
             let unbounded = sweep(usize::MAX);
             let bounded = sweep(1);
-            prop_assert_eq!(unbounded.3, 0u64, "unbounded run must not evict");
+            prop_assert_eq!(unbounded.3, (0u64, 0u64), "unbounded run must not evict");
             prop_assert_eq!(
                 (&unbounded.0, unbounded.1, &unbounded.2),
                 (&bounded.0, bounded.1, &bounded.2),
                 "the resident ceiling must be invisible (seed {}, threads {})", seed, threads
             );
+            rehydration.push(bounded.3);
         }
+        prop_assert_eq!(
+            rehydration[0], rehydration[1],
+            "eviction and replay counts must not depend on the thread count (seed {})", seed
+        );
     }
 
     /// The checkpoint stride is pure memory/time policy: for every
