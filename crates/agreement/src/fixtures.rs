@@ -182,7 +182,6 @@ mod tests {
             steps: 0,
             timed_out: false,
             trace: None,
-            branching: None,
             state_hashes: None,
             ops_by_kind: vec![],
         };

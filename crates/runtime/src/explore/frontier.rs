@@ -82,13 +82,13 @@
 //! Each retained frontier node normally holds its [`Snapshot`] (object
 //! map + operation logs — the heavy part). Under a resident ceiling, only
 //! the first `ceiling` nodes admitted per layer stay resident; colder
-//! nodes are **evicted** down to their scheduling metadata (choice path,
-//! alive set, pending footprints, own-step counters), and a worker that
-//! expands one first **rehydrates** it by replaying its choice path
-//! through the snapshot engine — the operation-log cursors make every
-//! replayed decision a deterministic `O(own log)` resume, so the rebuilt
-//! snapshot (and hence the whole report) is byte-identical to the
-//! never-evicted run.
+//! nodes are **evicted** down to what rehydration and the DPOR rule
+//! need (choice path, alive set, incoming action, crash count and
+//! anchor), and a worker that expands one first **rehydrates** it by
+//! replaying its choice path through the snapshot engine — the
+//! operation-log cursors make every replayed decision a deterministic
+//! `O(own log)` resume, so the rebuilt snapshot (and hence the whole
+//! report) is byte-identical to the never-evicted run.
 //!
 //! Rehydration does not start at the root: every node carries an
 //! [`Anchor`] — a reference to its nearest checkpoint-depth ancestor's
@@ -140,7 +140,7 @@ use std::thread::{self, Scope};
 use parking_lot::Mutex;
 
 use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
-use crate::sched::{CrashState, Crashes};
+use crate::sched::{CrashState, Crashes, Pick};
 use crate::world::Pid;
 
 use super::report::{ExploreReport, ExploreStats, Violation};
@@ -245,24 +245,12 @@ enum SkipKind {
 
 /// A node's state payload: resident nodes carry their snapshot (shared —
 /// descendants anchor to checkpoint-layer snapshots); evicted nodes keep
-/// scheduling metadata only and are rehydrated by the worker that
-/// expands them. Every reduction decision about a node is made from its
-/// snapshot before it can be evicted ([`Shared::classify`]), so the
-/// engine itself never reads this metadata; only the spill codec writes
-/// and restores it, as part of the manifest format.
+/// only the [`Node`] fields around it and are rehydrated by the worker
+/// that expands them. Every reduction decision about a node is made from
+/// its snapshot before it can be evicted ([`Shared::classify`]).
 pub(super) enum Store {
     Resident(Arc<Snapshot>),
-    Evicted {
-        /// Pending footprint per pid.
-        pending: Vec<Option<Footprint>>,
-        /// Store-buffer head (next-to-flush) footprint per pid — `None`
-        /// for empty buffers and everywhere under SC.
-        flush_heads: Vec<Option<Footprint>>,
-        /// Per-process own-step clocks.
-        own_steps: Vec<u64>,
-        /// Completed steps along the path.
-        steps: u64,
-    },
+    Evicted,
 }
 
 /// A node's rehydration base: the nearest ancestor at a
@@ -306,11 +294,9 @@ pub(super) struct Node {
 }
 
 pub(super) enum Job {
-    /// Execute one scheduling decision at `node`: pick `alive[choice]`,
-    /// or — for a crash-band choice `alive.len() + i` under
-    /// [`Crashes::UpTo`] — deliver a crash to `alive[i]`, or — for a
-    /// TSO flush-band choice `2 * alive.len() + pid` — flush the head
-    /// of raw process `pid`'s store buffer.
+    /// Execute one scheduling decision at `node`: the op grant, crash
+    /// delivery ([`Crashes::UpTo`]) or TSO store-buffer flush that
+    /// [`Pick::decode`] reads from `choice`.
     Expand { node: Arc<Node>, choice: usize },
     /// Resume `node` to completion along the canonical choice-0 suffix
     /// (sibling enumeration was cut by the depth bound).
@@ -792,8 +778,8 @@ where
 
     /// Applies the resident ceiling: the first
     /// [`super::Explorer::resident_ceiling`] nodes admitted per layer
-    /// keep their snapshot; colder ones are stripped down to scheduling
-    /// metadata and rehydrated on demand by the expanding worker.
+    /// keep their snapshot; colder ones drop it and are rehydrated on
+    /// demand by the expanding worker.
     /// Under the in-memory store, checkpoint layers (depth a multiple
     /// of [`super::Explorer::checkpoint_every`]) are exempt: their
     /// resident snapshots *are* the anchors every descendant rehydrates
@@ -809,16 +795,12 @@ where
             self.resident += 1;
             return;
         }
-        let Store::Resident(snap) = &node.store else {
+        if let Store::Evicted = node.store {
             return;
-        };
+        }
         debug_assert!(node.anchor.is_some(), "an evicted node must carry its rehydration anchor");
         self.stats.evicted += 1;
-        let pending = (0..self.ex.n).map(|p| snap.pending_footprint(p)).collect();
-        let flush_heads = (0..self.ex.n).map(|p| snap.flush_footprint(p)).collect();
-        let own_steps = (0..self.ex.n).map(|p| snap.own_steps(p)).collect();
-        let steps = snap.steps();
-        node.store = Store::Evicted { pending, flush_heads, own_steps, steps };
+        node.store = Store::Evicted;
     }
 
     /// Accounts one unit of expansion work against the budget; on
@@ -987,30 +969,29 @@ impl<F> Shared<'_, F> {
         if node.path.len() >= self.max_depth {
             return Child::Tail(Arc::new(node));
         }
-        // Op expansions (`choice < alive.len()`), then — while the
+        // One op expansion per alive process, then — while the
         // crash-count adversary's budget lasts — one crash sibling per
-        // alive process in the crash index band (`alive.len() + i`
-        // delivers a crash to `alive[i]`; other adversaries never have
-        // budget, so the band stays empty for them), then one flush
-        // sibling per non-empty store buffer in the TSO flush band
-        // (`2 * alive.len() + pid` flushes raw process `pid`'s head —
-        // raw pids, because buffers outlive their owner's finish or
-        // crash and the owner may have left the alive set). The band
-        // offsets match `ScheduleState::pick_tso` exactly, so
-        // counterexample vectors replay their flush placements through
-        // the gated engine verbatim.
-        let a = node.alive.len();
-        let band = if node.crash.budget_left() { 0..2 * a } else { 0..a };
-        let choices = band
-            .chain(flushable.iter().map(|&p| 2 * a + p))
-            .map(|choice| (choice, self.skip_kind(&node, snap, choice)))
+        // alive process (other adversaries never have budget), then one
+        // flush sibling per non-empty store buffer (by raw pid, because
+        // buffers outlive their owner's finish or crash). Each is queued
+        // as the choice `Pick::decode` maps back to it, so
+        // counterexample vectors replay through the gated engine
+        // verbatim.
+        let ops = node.alive.iter().map(|&p| Pick::Op(p));
+        let budget = node.crash.budget_left();
+        let crashes = node.alive.iter().filter(|_| budget).map(|&p| Pick::Crash(p));
+        let flushes = flushable.iter().map(|&p| Pick::Flush(p));
+        let choices = ops
+            .chain(crashes)
+            .chain(flushes)
+            .map(|pick| (pick.encode(&node.alive), self.skip_kind(&node, snap, pick)))
             .collect();
         // The branch degree counts every schedulable action: alive
         // processes plus — under TSO — pending flushes.
-        Child::Branch { degree: a + flushable.len(), node: Arc::new(node), choices }
+        Child::Branch { degree: node.alive.len() + flushable.len(), node: Arc::new(node), choices }
     }
 
-    /// The partial-order skip rule. Picking `p = alive[choice]` right
+    /// The partial-order skip rule. Taking `pick` (by process `p`) right
     /// after the action that created `node` (performed by `q`) is
     /// redundant when `p < q` and the two actions *commute*: the
     /// transposed pair reaches the canonical (pid-ascending) pair's
@@ -1022,37 +1003,35 @@ impl<F> Shared<'_, F> {
     /// delivery when the (stateless) crash plan fires at its current
     /// own-step clock, and the completed operation's footprint
     /// otherwise.
-    fn skip_kind(&self, node: &Node, snap: &Snapshot, choice: usize) -> Option<SkipKind> {
+    fn skip_kind(&self, node: &Node, snap: &Snapshot, pick: Pick) -> Option<SkipKind> {
         if !self.dpor {
             return None;
         }
         let (q, act_q) = node.incoming.as_ref()?;
-        let a = node.alive.len();
-        let (p, act_p) = if let Some(pid) = choice.checked_sub(2 * a) {
-            // A TSO flush-band sibling: the action is the buffered
-            // head's memory write, attributed to the buffer's owner
-            // (raw pid). Always available at the parent too: no other
-            // process's action touches `pid`'s buffer (only `pid`'s own
-            // ops enqueue to it, and same-pid pairs never skip), so the
+        let (p, act_p) = match pick {
+            // A TSO flush sibling: the action is the buffered head's
+            // memory write, attributed to the buffer's owner (raw pid).
+            // Always available at the parent too: no other process's
+            // action touches `pid`'s buffer (only `pid`'s own ops
+            // enqueue to it, and same-pid pairs never skip), so the
             // covering transposed path flushes the identical entry.
-            (pid, Action::Flush(snap.flush_footprint(pid)?))
-        } else if let Some(i) = choice.checked_sub(a) {
-            // A crash-band sibling ([`Crashes::UpTo`] budget branch):
-            // the action is the crash delivery itself. Transposing it
-            // before `q`'s incoming action is always budget-sound: ops
-            // consume no crash budget, so the budget available at the
-            // parent is (crash incoming) one more than, or (op
-            // incoming) equal to, the budget here — either way enough
-            // for the covering path to deliver this crash first.
-            (node.alive[i], Action::Crash)
-        } else {
-            let p = node.alive[choice];
-            let act = if self.crash_fires(p, snap.own_steps(p)) {
-                Action::Crash
-            } else {
-                Action::Op(snap.pending_footprint(p)?)
-            };
-            (p, act)
+            Pick::Flush(pid) => (pid, Action::Flush(snap.flush_footprint(pid)?)),
+            // A crash sibling ([`Crashes::UpTo`] budget branch): the
+            // action is the crash delivery itself. Transposing it before
+            // `q`'s incoming action is always budget-sound: ops consume
+            // no crash budget, so the budget available at the parent is
+            // (crash incoming) one more than, or (op incoming) equal to,
+            // the budget here — either way enough for the covering path
+            // to deliver this crash first.
+            Pick::Crash(pid) => (pid, Action::Crash),
+            Pick::Op(p) => {
+                let act = if self.crash_fires(p, snap.own_steps(p)) {
+                    Action::Crash
+                } else {
+                    Action::Op(snap.pending_footprint(p)?)
+                };
+                (p, act)
+            }
         };
         if p >= *q {
             return None;
@@ -1214,7 +1193,7 @@ impl Trail {
         for &choice in &node.path[from..] {
             let (snap, crash) = self.states.last().expect("the trail holds its anchor");
             let mut crash = crash.clone();
-            let (next, _, _, _) = apply_choice(shared, snap, &snap.alive(), &mut crash, choice);
+            let (next, _, _) = apply_choice(shared, snap, &snap.alive(), &mut crash, choice);
             self.states.push((Arc::new(next), crash));
         }
         cost.replayed = (node.path.len() - from) as u64;
@@ -1247,35 +1226,31 @@ fn step_snapshot<F: Fn() -> Vec<Body>>(
     }
 }
 
-/// Executes one choice-vector entry from `snap`: a pick in the op band
-/// (`choice < alive.len()`) is a [`step_snapshot`] scheduling decision,
-/// a pick in the crash index band (`alive.len() + i`) delivers one
-/// of the crash-count adversary's budgeted crashes to `alive[i]` —
-/// consuming no step — and a pick in the TSO flush band
-/// (`2 * alive.len() + pid`, raw pids) flushes the head of `pid`'s
-/// store buffer, consuming one step but no adversary decision — each
-/// exactly as the gated engine decodes the same vector through
-/// `Schedule::Indexed`. Returns the successor, the chosen pid, and
-/// whether the pick delivered a crash / flushed a buffer.
+/// Executes one choice-vector entry from `snap` (alive set `alive`),
+/// decoded exactly as the gated engine decodes it ([`Pick::decode`]): an
+/// op pick is a [`step_snapshot`] scheduling decision, a crash pick
+/// delivers one of the crash-count adversary's budgeted crashes —
+/// consuming no step — and a flush pick flushes the head of a store
+/// buffer, consuming one step but no adversary decision. Returns the
+/// successor, the decoded pick, and whether the pick delivered a crash.
 fn apply_choice<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     snap: &Snapshot,
     alive: &[Pid],
     crash: &mut CrashState,
     choice: usize,
-) -> (Snapshot, Pid, bool, bool) {
-    if let Some(pid) = choice.checked_sub(2 * alive.len()) {
-        (ModelWorld::resume_flush(snap, pid), pid, false, true)
-    } else if let Some(i) = choice.checked_sub(alive.len()) {
-        let pid = alive[i];
-        let fired = crash.force_crash();
-        debug_assert!(fired, "crash-band choices are queued only while budget remains");
-        (ModelWorld::resume_crash(snap, pid), pid, true, false)
-    } else {
-        let pid = alive[choice];
-        let (next, crashed) = step_snapshot(shared, snap, crash, pid);
-        (next, pid, crashed, false)
-    }
+) -> (Snapshot, Pick, bool) {
+    let pick = Pick::decode(choice, alive, snap.n(), &snap.flushable());
+    let (next, crashed) = match pick {
+        Pick::Flush(pid) => (ModelWorld::resume_flush(snap, pid), false),
+        Pick::Crash(pid) => {
+            let fired = crash.force_crash();
+            debug_assert!(fired, "crash-band choices are queued only while budget remains");
+            (ModelWorld::resume_crash(snap, pid), true)
+        }
+        Pick::Op(pid) => step_snapshot(shared, snap, crash, pid),
+    };
+    (next, pick, crashed)
 }
 
 /// Executes one scheduling decision from `node`, probes the child
@@ -1289,13 +1264,8 @@ fn expand<F: Fn() -> Vec<Body>>(
 ) -> Expanded {
     let mut crash = node.crash.clone();
     let (parent, rehydration) = trail.snapshot_of(shared, node);
-    // The flushed head's footprint must be read from the *parent* (the
-    // child's buffer no longer holds it).
-    let flushed_head = choice.checked_sub(2 * node.alive.len()).map(|pid| {
-        parent.flush_footprint(pid).expect("flush-band choices target non-empty buffers")
-    });
-    let (snap, pid, crashed_now, flushed_now) =
-        apply_choice(shared, parent, &node.alive, &mut crash, choice);
+    let (snap, pick, crashed_now) = apply_choice(shared, parent, &node.alive, &mut crash, choice);
+    let flushed_now = matches!(pick, Pick::Flush(_));
     let (fp, coarsened, symm_coarsened) = if shared.prune {
         let coarsened = shared.quotient && snap.quotient_coarsens();
         match &shared.symmetry {
@@ -1320,13 +1290,19 @@ fn expand<F: Fn() -> Vec<Body>>(
             rehydration,
         };
     }
-    let incoming = if let Some(head) = flushed_head {
-        Some((pid, Action::Flush(head)))
-    } else if crashed_now {
-        Some((pid, Action::Crash))
-    } else {
-        let executed = parent.pending_footprint(pid).expect("an alive process parks at a gate");
-        Some((pid, Action::Op(executed)))
+    // The executed action's footprint is read from the *parent* (the
+    // child's buffer no longer holds a flushed head).
+    let incoming = match pick {
+        Pick::Flush(pid) => {
+            let head = parent.flush_footprint(pid).expect("flush picks target non-empty buffers");
+            (pid, Action::Flush(head))
+        }
+        Pick::Crash(pid) => (pid, Action::Crash),
+        Pick::Op(pid) if crashed_now => (pid, Action::Crash),
+        Pick::Op(pid) => {
+            let executed = parent.pending_footprint(pid).expect("an alive process parks at a gate");
+            (pid, Action::Op(executed))
+        }
     };
     let mut path = node.path.clone();
     path.push(choice);
@@ -1335,7 +1311,7 @@ fn expand<F: Fn() -> Vec<Body>>(
         store: Store::Resident(Arc::new(snap)),
         path,
         alive,
-        incoming,
+        incoming: Some(incoming),
         crash,
         // The admit pass overwrites this with a self-anchor on
         // checkpoint-depth layers.
@@ -1372,17 +1348,16 @@ fn run_tail<F: Fn() -> Vec<Body>>(
             break snap.report(true);
         }
         if let Some(&pid) = alive.first() {
-            choices.push(0);
+            choices.push(Pick::Op(pid).encode(&alive));
             let (next, _) = step_snapshot(shared, &snap, &mut crash, pid);
             snap = next;
         } else {
             // Everyone finished or crashed but store buffers still hold
             // writes (TSO only): drain them in raw-pid order, recording
-            // each flush as its properly band-encoded choice
-            // (`2 * alive.len() + pid` — here `alive` is empty, so just
-            // `pid`) so the vector replays through the gated engine.
+            // each flush as its encoded choice so the vector replays
+            // through the gated engine.
             let pid = *snap.flushable().first().expect("non-terminal with no alive process");
-            choices.push(2 * alive.len() + pid);
+            choices.push(Pick::Flush(pid).encode(&alive));
             snap = ModelWorld::resume_flush(&snap, pid);
         }
     };

@@ -1454,28 +1454,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Manifests older than v5 must be rejected whole, not partially
+    /// Manifests older than v6 must be rejected whole, not partially
     /// decoded: a v3 manifest cannot describe a TSO sweep (no `tso`
     /// configuration key, no flush-head footprints in its node records),
-    /// and a v4 manifest still carries the retired `sleep_reads`
-    /// reduction key.
+    /// a v4 manifest still carries the retired `sleep_reads` reduction
+    /// key, and a v5 state file still frames every node record with the
+    /// retired scheduling metadata.
     #[test]
-    #[should_panic(expected = "unsupported manifest version 4")]
+    #[should_panic(expected = "unsupported manifest version 5")]
     fn resume_rejects_older_manifest_versions() {
         let resume_as = |old: u64| {
             let dir = sweep_dir(&format!("v{old}-reject"));
             Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
             let manifest = dir.join("MANIFEST");
             let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-            assert!(text.contains("manifest_version=5"), "current manifests are v5");
-            let downgraded = text.replace("manifest_version=5", &format!("manifest_version={old}"));
+            assert!(text.contains("manifest_version=6"), "current manifests are v6");
+            let downgraded = text.replace("manifest_version=6", &format!("manifest_version={old}"));
             std::fs::write(&manifest, downgraded).expect("rewrite manifest");
             Explorer::resume_sweep_with_symmetry(&dir, None, spill_bodies, |_r| Ok(()))
         };
-        let v3 = std::panic::catch_unwind(|| resume_as(3)).expect_err("v3 must be rejected");
-        let message = v3.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-        assert!(message.contains("unsupported manifest version 3"), "{message}");
-        resume_as(4);
+        for old in [3, 4] {
+            let err = std::panic::catch_unwind(|| resume_as(old)).expect_err("must be rejected");
+            let message = err.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert!(message.contains(&format!("unsupported manifest version {old}")), "{message}");
+        }
+        resume_as(5);
     }
 
     /// Halts a spilled three-writer sweep after three layers, then

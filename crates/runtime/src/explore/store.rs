@@ -73,11 +73,16 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// statistics, and — in the frontier state file — per-node
 /// store-buffer flush-head footprints plus the `Flush` incoming-action
 /// tag. v5 dropped the `sleep_reads` reduction key (the read-read
-/// rule is a case of `dpor`). An older manifest cannot describe a TSO
-/// sweep, carries a reduction flag that no longer exists, or lacks the
-/// fields a resumed summary line needs, so older manifests are rejected
-/// whole rather than partially decoded.
-const MANIFEST_VERSION: u64 = 5;
+/// rule is a case of `dpor`). v6 dropped the per-node scheduling
+/// metadata of the frontier state file (pending and flush-head
+/// footprints, own-step clocks, step count): nothing read it, since a
+/// node's reductions are decided before it is evicted and a resumed node
+/// rehydrates from its anchor. An older manifest cannot describe a TSO
+/// sweep, carries a reduction flag that no longer exists, lacks the
+/// fields a resumed summary line needs, or frames its node records
+/// differently, so older manifests are rejected whole rather than
+/// partially decoded.
+const MANIFEST_VERSION: u64 = 6;
 
 /// Where a stored checkpoint snapshot lives — what [`SnapshotStore::put`]
 /// returns and a frontier anchor carries.
@@ -304,7 +309,7 @@ fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
     let groups = group_jobs(ck.jobs);
     w.put_usize(groups.len());
     for (node, kind) in groups {
-        encode_node(&mut w, node, ck.ex.n)?;
+        encode_node(&mut w, node)?;
         match kind {
             GroupKind::Tail => w.put_u8(0),
             GroupKind::Expand(choices) => {
@@ -343,10 +348,10 @@ fn group_jobs(jobs: &[Job]) -> Vec<(&Node, GroupKind)> {
     out.into_iter().map(|(node, kind)| (&**node, kind)).collect()
 }
 
-/// One frontier node, in rehydratable (evicted) form: resident nodes are
-/// flattened to the same scheduling metadata eviction keeps, since a
-/// resumed node rebuilds its snapshot from its disk anchor anyway.
-fn encode_node(w: &mut ByteWriter, node: &Node, n: usize) -> Result<(), CodecError> {
+/// One frontier node, in rehydratable (evicted) form: resident nodes
+/// drop their snapshot like evicted ones, since a resumed node rebuilds
+/// it from its disk anchor anyway.
+fn encode_node(w: &mut ByteWriter, node: &Node) -> Result<(), CodecError> {
     w.put_usize(node.path.len());
     for &c in &node.path {
         w.put_usize(c);
@@ -373,34 +378,6 @@ fn encode_node(w: &mut ByteWriter, node: &Node, n: usize) -> Result<(), CodecErr
         }
     }
     w.put_usize(node.crash.crashes_so_far());
-    let (pending, flush_heads, own_steps, steps) = match &node.store {
-        Store::Resident(snap) => (
-            (0..n).map(|p| snap.pending_footprint(p)).collect::<Vec<_>>(),
-            (0..n).map(|p| snap.flush_footprint(p)).collect::<Vec<_>>(),
-            (0..n).map(|p| snap.own_steps(p)).collect::<Vec<_>>(),
-            snap.steps(),
-        ),
-        Store::Evicted { pending, flush_heads, own_steps, steps } => {
-            (pending.clone(), flush_heads.clone(), own_steps.clone(), *steps)
-        }
-    };
-    for footprints in [&pending, &flush_heads] {
-        w.put_usize(footprints.len());
-        for f in footprints {
-            match f {
-                None => w.put_u8(0),
-                Some(f) => {
-                    w.put_u8(1);
-                    encode_footprint(w, f);
-                }
-            }
-        }
-    }
-    w.put_usize(own_steps.len());
-    for &s in &own_steps {
-        w.put_u64(s);
-    }
-    w.put_u64(steps);
     // Under the spill store every node is anchored (depth 0 is a
     // checkpoint layer) and every `put` returns a disk ref, so anything
     // else here is an engine bug. Tag 0 (no anchor) is never written.
@@ -446,22 +423,6 @@ fn decode_node(
         }
     };
     let crash = CrashState::restore(policy.clone(), r.usize()?);
-    let pending = (0..r.usize()?)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => decode_footprint(r).map(Some),
-            tag => Err(CodecError::BadTag { what: "pending footprint", tag: u64::from(tag) }),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let flush_heads = (0..r.usize()?)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => decode_footprint(r).map(Some),
-            tag => Err(CodecError::BadTag { what: "flush-head footprint", tag: u64::from(tag) }),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let own_steps = (0..r.usize()?).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-    let steps = r.u64()?;
     // Every resumed node is evicted, so it must name the anchor its
     // rehydration starts from.
     let anchor = match r.u8()? {
@@ -495,14 +456,7 @@ fn decode_node(
         }
         tag => return Err(CodecError::BadTag { what: "anchor", tag: u64::from(tag) }.into()),
     };
-    Ok(Node {
-        store: Store::Evicted { pending, flush_heads, own_steps, steps },
-        path,
-        alive,
-        incoming,
-        crash,
-        anchor: Some(anchor),
-    })
+    Ok(Node { store: Store::Evicted, path, alive, incoming, crash, anchor: Some(anchor) })
 }
 
 fn decode_state(
@@ -888,18 +842,15 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
 mod tests {
     use super::*;
 
-    /// A frontier node record at path `[0, 1]` with empty scheduling
-    /// metadata, closed by whatever anchor field `anchor` writes.
+    /// A frontier node record at path `[0, 1]` with an empty alive set,
+    /// closed by whatever anchor field `anchor` writes.
     fn node_record(anchor: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
         let mut w = ByteWriter::new();
         for field in [2, 0, 1, 0] {
             w.put_usize(field); // path length, path, alive-set length
         }
         w.put_u8(0); // no incoming action
-        for field in [0, 0, 0, 0] {
-            w.put_usize(field); // crashes, pending, flush heads, own steps
-        }
-        w.put_u64(0); // steps
+        w.put_usize(0); // crashes
         anchor(&mut w);
         w.into_vec()
     }

@@ -24,7 +24,7 @@
 //! of a small set of concrete types — see [`encode_stored`]. Encoding
 //! tries each supported downcast and tags the variant; decoding rebuilds
 //! the exact original dynamic type, which is what lets a decoded
-//! snapshot's log replay (`resume_gate`'s typed downcast) succeed
+//! snapshot's log replay (`ResumeCtl::gate`'s typed downcast) succeed
 //! bit-for-bit. A value outside the universe is a hard
 //! [`CodecError::UnsupportedValue`] — extending the universe means adding
 //! a tag here and bumping [`CODEC_VERSION`].
@@ -38,7 +38,7 @@
 use std::sync::Arc;
 
 use super::snapshot::LogEntry;
-use super::{BufferedWrite, Cell, Footprint, Object, Snapshot};
+use super::{BufferedWrite, Cell, Footprint, Object, Snapshot, WorldState};
 use crate::fingerprint::fp_of;
 use crate::world::{ObjKey, Stored};
 
@@ -536,22 +536,23 @@ impl Snapshot {
     /// [`CodecError::UnsupportedValue`] if shared memory or an operation
     /// log holds a value outside the closed codec universe.
     pub fn encode(&self) -> Result<Vec<u8>, CodecError> {
+        let world = &self.world;
         let mut w = ByteWriter::new();
         w.put_bytes(MAGIC);
         w.put_u16(CODEC_VERSION);
-        w.put_usize(self.n);
-        w.put_bool(self.track);
-        w.put_bool(self.viewsum);
-        w.put_bool(self.tso);
-        let mut keys: Vec<ObjKey> = self.objects.keys().copied().collect();
+        w.put_usize(self.n());
+        w.put_bool(world.track);
+        w.put_bool(world.viewsum);
+        w.put_bool(world.tso);
+        let mut keys: Vec<ObjKey> = world.objects.keys().copied().collect();
         keys.sort_unstable();
         w.put_usize(keys.len());
         for key in keys {
             encode_key(&mut w, key);
-            encode_object(&mut w, &self.objects[&key])?;
+            encode_object(&mut w, &world.objects[&key])?;
         }
-        w.put_u64(self.mem_fp);
-        for &fp in &self.obs_fp {
+        w.put_u64(world.mem_fp);
+        for &fp in &world.obs_fp {
             w.put_u64(fp);
         }
         for log in &self.logs {
@@ -562,10 +563,10 @@ impl Snapshot {
                 encode_stored(&mut w, &entry.result, "an operation log")?;
             }
         }
-        for p in 0..self.n {
-            w.put_bool(self.finished[p]);
-            w.put_bool(self.crashed[p]);
-            put_opt_u64(&mut w, self.results[p]);
+        for p in 0..self.n() {
+            w.put_bool(world.finished[p]);
+            w.put_bool(world.crashed[p]);
+            put_opt_u64(&mut w, world.results[p]);
             match &self.pending_op[p] {
                 None => w.put_u8(0),
                 Some(f) => {
@@ -573,25 +574,25 @@ impl Snapshot {
                     encode_footprint(&mut w, f);
                 }
             }
-            w.put_u64(self.own_steps[p]);
+            w.put_u64(world.own_steps[p]);
         }
-        for buf in &self.buffers {
+        for buf in &world.buffers {
             w.put_usize(buf.len());
             for bw in buf {
                 encode_key(&mut w, bw.key);
                 put_opt_u64(&mut w, bw.cell_idx.map(|i| i as u64));
                 w.put_usize(bw.len);
-                encode_stored(&mut w, bw.stored().0, "a store buffer")?;
+                encode_stored(&mut w, &bw.cell.val, "a store buffer")?;
             }
         }
-        let mut kinds: Vec<u32> = self.op_counts.keys().copied().collect();
+        let mut kinds: Vec<u32> = world.op_counts.keys().copied().collect();
         kinds.sort_unstable();
         w.put_usize(kinds.len());
         for kind in kinds {
             w.put_u32(kind);
-            w.put_u64(self.op_counts[&kind]);
+            w.put_u64(world.op_counts[&kind]);
         }
-        w.put_u64(self.steps);
+        w.put_u64(world.steps);
         Ok(w.into_vec())
     }
 
@@ -675,7 +676,7 @@ impl Snapshot {
                     .map_err(|_| CodecError::Truncated)?;
                 let len = r.usize()?;
                 let (val, fp) = decode_stored(&mut r, track)?;
-                buf.push(BufferedWrite::from_parts(key, cell_idx, len, val, fp));
+                buf.push(BufferedWrite { key, cell_idx, len, cell: Cell { val, fp } });
             }
             buffers.push(buf);
         }
@@ -687,24 +688,22 @@ impl Snapshot {
         }
         let steps = r.u64()?;
         r.finish()?;
-        Ok(Snapshot {
-            n,
-            track,
-            viewsum,
+        let world = WorldState {
             objects,
             mem_fp,
             obs_fp,
-            logs,
             finished,
             crashed,
             results,
-            pending_op,
             own_steps,
             op_counts,
             steps,
-            tso,
             buffers,
-        })
+            track,
+            viewsum,
+            tso,
+        };
+        Ok(Snapshot { world, logs, pending_op })
     }
 }
 

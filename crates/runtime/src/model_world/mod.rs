@@ -28,6 +28,18 @@
 //! can be executed *on the caller thread* — no process threads, no
 //! scheduler handshakes. The exhaustive explorer ([`crate::explore`]) is
 //! built on it.
+//!
+//! **One state record, driven two ways.** The world state — memory, the
+//! memory and observation fingerprints, liveness, results, counters and
+//! store buffers — is declared once, as `WorldState`, together with every
+//! operation, flush, fingerprint and outcome over it. The gated run owns
+//! one behind its thread gate; a snapshot embeds one, and resumption
+//! moves a copy into a resume-mode world and back out. The engines differ
+//! only in how a step is admitted (a scheduler grant vs. log replay), a
+//! difference the typed `Mode` of the world keeps apart; both decode a
+//! choice vector through the one decoder of [`Schedule::Indexed`]. The
+//! engine cross-check (`tests/proptests.rs`) therefore tests the two ways
+//! of driving one record, not two copies of the state.
 
 pub(crate) mod codec;
 mod snapshot;
@@ -101,12 +113,17 @@ impl Outcome {
     }
 }
 
-/// Result of a [`ModelWorld::run`].
+/// Result of a run: a gated [`ModelWorld::run`], or the path to a
+/// [`Snapshot`] ([`Snapshot::report`]). Both build the outcomes, step
+/// count and op accounting from the same world-state record, so the two
+/// engines report a schedule identically; only the gated run can add
+/// the opt-in path recordings (`trace`, `state_hashes`).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-process outcome, indexed by [`Pid`].
     pub outcomes: Vec<Outcome>,
-    /// Total completed shared-memory steps.
+    /// Total completed shared-memory steps (store-buffer flushes
+    /// included under TSO).
     pub steps: u64,
     /// `true` if the step budget was exhausted before every process
     /// finished or crashed.
@@ -114,19 +131,14 @@ pub struct RunReport {
     /// The schedule of completed steps, if requested via
     /// [`RunConfig::record_trace`].
     pub trace: Option<Vec<Pid>>,
-    /// The number of alive processes at each scheduling decision (pick), if
-    /// requested via [`RunConfig::record_branching`]. This is the branch
-    /// degree the exhaustive explorer ([`crate::explore`]) uses to
-    /// enumerate sibling schedules; its length counts *picks* (including
-    /// crash deliveries and withdrawn grants), not completed steps.
-    pub branching: Option<Vec<usize>>,
     /// The global-state fingerprint after each pick, if requested via
     /// [`RunConfig::record_state_hashes`]; entry `i` identifies the state
     /// reached by the schedule prefix of `i + 1` picks (shared memory +
-    /// per-process observation history + liveness flags + results), and
-    /// the vector is index-aligned with [`RunReport::branching`]. Equal
+    /// per-process observation history + liveness flags + results; a
+    /// pick is a step grant, a crash delivery or a flush). Equal
     /// fingerprints mean equal futures under equal schedule suffixes —
-    /// the prefix-pruning invariant of [`crate::explore`].
+    /// the prefix-pruning invariant of [`crate::explore`] — and entry `i`
+    /// equals [`Snapshot::fingerprint`] after the same `i + 1` picks.
     pub state_hashes: Option<Vec<u64>>,
     /// Completed shared-memory operations per object-kind namespace —
     /// the cost breakdown of a run (e.g. how many steps went to the BG
@@ -182,7 +194,6 @@ pub struct RunConfig {
     crashes: Crashes,
     max_steps: u64,
     record_trace: bool,
-    record_branching: bool,
     record_state_hashes: bool,
     view_summaries: bool,
     tso: bool,
@@ -198,7 +209,6 @@ impl RunConfig {
             crashes: Crashes::None,
             max_steps: 2_000_000,
             record_trace: false,
-            record_branching: false,
             record_state_hashes: false,
             view_summaries: false,
             tso: false,
@@ -240,13 +250,6 @@ impl RunConfig {
     /// Records the step trace into the report (for determinism tests).
     pub fn record_trace(mut self, yes: bool) -> Self {
         self.record_trace = yes;
-        self
-    }
-
-    /// Records the branch degree of every scheduling decision (for the
-    /// exhaustive explorer).
-    pub fn record_branching(mut self, yes: bool) -> Self {
-        self.record_branching = yes;
         self
     }
 
@@ -354,7 +357,7 @@ impl std::fmt::Debug for Symmetry {
 }
 
 /// A stored value together with its fingerprint (0 when fingerprint
-/// tracking is off — see [`State::track`]).
+/// tracking is off — see [`WorldState::track`]).
 #[derive(Debug, Clone)]
 struct Cell {
     val: Stored,
@@ -378,7 +381,7 @@ enum Object {
 
 impl Object {
     /// Content fingerprint (independent of `HashMap` iteration order when
-    /// XOR-combined per key by [`State::fingerprint`]).
+    /// XOR-combined per key into [`WorldState::mem_fp`]).
     fn fp(&self) -> u64 {
         let mut h = Fnv1a::default();
         match self {
@@ -407,32 +410,22 @@ impl Object {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Permit {
-    Idle,
-    Granted,
-    Crash,
-}
-
-struct State {
-    permits: Vec<Permit>,
-    op_done: bool,
-    /// Process is parked at its gate, ready to take a granted step. The
-    /// scheduler only picks among *settled* processes (waiting, finished or
-    /// crashed), which makes the alive set — and hence branch degrees and
-    /// traces — deterministic instead of racing with finish recording.
-    waiting: Vec<bool>,
-    finished: Vec<bool>,
-    crashed: Vec<bool>,
-    /// Crashes caused by the adversary (as opposed to the end-of-run sweep
-    /// that unwinds blocked processes after a timeout).
-    adversary_crash: Vec<bool>,
-    results: Vec<Option<u64>>,
-    failures: Vec<(Pid, String)>,
+/// The world state both engines move, and the only place it is declared:
+/// a [`Snapshot`] embeds one, and the gated [`ModelWorld::run`] owns one
+/// behind its step gate. Every operation, flush, crash and outcome is
+/// defined once, here, over this record; the two engines differ only in
+/// how they drive it (threads behind a gate vs. log replay on the caller
+/// thread).
+#[derive(Debug, Clone, Default)]
+struct WorldState {
+    /// Shared memory.
     objects: HashMap<ObjKey, Object>,
-    op_counts: HashMap<u32, u64>,
-    own_steps: Vec<u64>,
-    trace: Vec<Pid>,
+    /// Incrementally maintained XOR accumulator over
+    /// `hash(key, object-content)` of every object in `objects` —
+    /// maintained as a delta on each write instead of rehashing the full
+    /// map (XOR, not [`mix`], so the fold is independent of `HashMap`
+    /// iteration order). Only maintained under [`WorldState::track`].
+    mem_fp: u64,
     /// Per-process rolling fingerprint of the operation/observation
     /// history: every shared-memory operation folds (op tag, key, result
     /// fingerprint) into its caller's entry. Because process bodies are
@@ -441,40 +434,41 @@ struct State {
     /// process has the same observation fingerprint (and memory agrees)
     /// are in behaviorally identical global states.
     obs_fp: Vec<u64>,
-    /// Incrementally maintained XOR accumulator over
-    /// `hash(key, object-content)` of every object in `objects` —
-    /// maintained as a delta on each write instead of rehashing the full
-    /// map (XOR, not [`mix`], so the fold is independent of `HashMap`
-    /// iteration order). Only maintained under [`State::track`].
-    mem_fp: u64,
+    /// The process returned (its value is in `results`).
+    finished: Vec<bool>,
+    /// The process was crashed by the adversary. (The gated engine's
+    /// timeout sweep unwinds blocked processes without setting this: they
+    /// report [`Outcome::Undecided`].)
+    crashed: Vec<bool>,
+    results: Vec<Option<u64>>,
+    /// Completed operations per process (the crash adversary's own-step
+    /// clock).
+    own_steps: Vec<u64>,
+    /// Completed operations per object-kind namespace.
+    op_counts: HashMap<u32, u64>,
+    /// Completed steps: operations plus store-buffer flushes.
+    steps: u64,
+    /// Per-process FIFO store buffers (always empty when
+    /// [`WorldState::tso`] is off). `buffers[p]` holds `p`'s
+    /// issued-but-unflushed writes, oldest first.
+    buffers: Vec<Vec<BufferedWrite>>,
     /// Fingerprint bookkeeping enabled (set by
-    /// [`RunConfig::record_state_hashes`]); off for plain runs so the
+    /// [`RunConfig::record_state_hashes`] or a tracked
+    /// [`ModelWorld::snapshot_root`]); off for plain runs so the
     /// per-operation hashing costs nothing.
     track: bool,
     /// Fold declared view summaries instead of raw views into
-    /// [`State::obs_fp`] (set by [`RunConfig::view_summaries`] / the
-    /// explorer's [`crate::explore::Reduction::view_summaries`]). Only
-    /// read where [`State::track`] is on; never changes behavior.
+    /// [`WorldState::obs_fp`] ([`RunConfig::view_summaries`]). Only read
+    /// where [`WorldState::track`] is on; never changes behavior. Fixed
+    /// for the whole path, so a path never mixes the two identities.
     viewsum: bool,
-    /// Free mode: no scheduler; every op proceeds immediately (used for
-    /// direct unit tests of object semantics).
-    free: bool,
-    /// Resume mode: one process is being driven from a [`Snapshot`] on
-    /// the caller thread; [`ModelWorld::step`] replays its operation log
-    /// and executes exactly the granted fresh operations (see
-    /// [`snapshot`]).
-    resume: Option<ResumeCtl>,
-    /// TSO exploration mode ([`RunConfig::tso`]): writes enqueue into
-    /// [`State::buffers`] instead of touching memory. Fixed for the whole
-    /// path, like [`State::viewsum`].
+    /// TSO mode ([`RunConfig::tso`]): writes enqueue into
+    /// [`WorldState::buffers`] instead of touching memory. Fixed for the
+    /// whole path, like [`WorldState::viewsum`].
     tso: bool,
-    /// Per-process FIFO store buffers (always empty when [`State::tso`]
-    /// is off). `buffers[p]` holds `p`'s issued-but-unflushed writes,
-    /// oldest first.
-    buffers: Vec<Vec<BufferedWrite>>,
 }
 
-/// Operation tags folded into [`State::obs_fp`].
+/// Operation tags folded into [`WorldState::obs_fp`].
 const OP_REG_WRITE: u64 = 1;
 const OP_REG_READ: u64 = 2;
 const OP_SNAP_WRITE: u64 = 3;
@@ -494,44 +488,21 @@ pub(crate) const OP_FLUSH: u64 = 8;
 /// family.
 const FENCE_KIND: u32 = u32::MAX;
 
-/// One write parked in a process's FIFO store buffer (TSO mode): the
-/// target object, the snapshot cell for `snap_write` (`None` for a
-/// register write), the snapshot length (to default-create the object on
-/// first flush, as the direct write would), and the value with its
-/// fingerprint.
+/// One write on its way to shared memory: the target object, the
+/// snapshot cell for `snap_write` (`None` for a register write), the
+/// snapshot length (to default-create the object on first access), and
+/// the value with its fingerprint. Under TSO it parks in the issuing
+/// process's FIFO store buffer until flushed; under SC it is stored at
+/// once.
 #[derive(Debug, Clone)]
 pub(crate) struct BufferedWrite {
-    pub(super) key: ObjKey,
-    pub(super) cell_idx: Option<usize>,
-    pub(super) len: usize,
+    key: ObjKey,
+    cell_idx: Option<usize>,
+    len: usize,
     cell: Cell,
 }
 
 impl BufferedWrite {
-    pub(super) fn new_register(key: ObjKey, val: Stored, fp: u64) -> Self {
-        BufferedWrite { key, cell_idx: None, len: 0, cell: Cell { val, fp } }
-    }
-
-    pub(super) fn new_snap_cell(key: ObjKey, idx: usize, len: usize, val: Stored, fp: u64) -> Self {
-        BufferedWrite { key, cell_idx: Some(idx), len, cell: Cell { val, fp } }
-    }
-
-    /// Rebuilds an entry from its decoded parts (the codec's constructor).
-    pub(super) fn from_parts(
-        key: ObjKey,
-        cell_idx: Option<usize>,
-        len: usize,
-        val: Stored,
-        fp: u64,
-    ) -> Self {
-        BufferedWrite { key, cell_idx, len, cell: Cell { val, fp } }
-    }
-
-    /// The value (and fingerprint) this entry will write.
-    pub(super) fn stored(&self) -> (&Stored, u64) {
-        (&self.cell.val, self.cell.fp)
-    }
-
     /// The dependency footprint of flushing this entry: a write to the
     /// target object (cell-granular for snapshot cells), so
     /// [`Footprint::commutes`] gives flush/flush independence on distinct
@@ -541,45 +512,9 @@ impl BufferedWrite {
     }
 }
 
-/// Applies one buffered write to an object map, maintaining the
-/// incremental memory fingerprint exactly as [`State::with_obj`] does —
-/// shared by the gated world's flush delivery and
-/// [`ModelWorld::resume_flush`], so both engines move memory word for
-/// word.
-fn apply_buffered_write(
-    objects: &mut HashMap<ObjKey, Object>,
-    mem_fp: &mut u64,
-    track: bool,
-    w: BufferedWrite,
-) {
-    let BufferedWrite { key, cell_idx, len, cell } = w;
-    let existed = !track || objects.contains_key(&key);
-    let obj = objects.entry(key).or_insert_with(|| match cell_idx {
-        None => Object::Register(None),
-        Some(_) => Object::Snapshot(vec![None; len]),
-    });
-    let before = if track && existed { key_obj_fp(key, obj) } else { 0 };
-    match (cell_idx, &mut *obj) {
-        (None, Object::Register(slot)) => *slot = Some(cell),
-        (Some(i), Object::Snapshot(cells)) => {
-            assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-            cells[i] = Some(cell);
-        }
-        (None, other) => panic!("object {key} is not a register: {other:?}"),
-        (Some(_), other) => panic!("object {key} is not a snapshot object: {other:?}"),
-    }
-    if track {
-        let after = key_obj_fp(key, obj);
-        *mem_fp ^= before ^ after;
-    }
-}
-
 /// Per-process store-buffer fingerprint: an order-sensitive fold of
-/// `(key, cell, value fp)` per entry — mixed into the owner's flags word
-/// by the state fingerprints whenever the buffer is non-empty, so
-/// SC states (and TSO states with drained buffers) keep their exact
-/// pre-TSO identities.
-pub(super) fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
+/// `(key, cell, value fp)` per entry.
+fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
     let mut acc = 0u64;
     for w in buf {
         let mut h = Fnv1a::default();
@@ -591,17 +526,6 @@ pub(super) fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
         acc = mix(acc, h.finish());
     }
     acc
-}
-
-/// The flags word of process `p` extended with its store-buffer contents
-/// when (and only when) the buffer is non-empty — the shared rule of
-/// [`State::fingerprint`] and the snapshot fingerprints.
-pub(super) fn flags_with_buffer(flags: u64, buf: &[BufferedWrite]) -> u64 {
-    if buf.is_empty() {
-        flags
-    } else {
-        mix(flags, buffer_fp(buf))
-    }
 }
 
 /// The dependency footprint of one shared-memory operation: which object
@@ -669,7 +593,7 @@ impl Footprint {
 }
 
 /// `hash(key, object-content)` — the per-key word XOR-folded into
-/// [`State::mem_fp`].
+/// [`WorldState::mem_fp`].
 fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
     let mut h = Fnv1a::default();
     h.write_u64(u64::from(key.kind));
@@ -679,9 +603,49 @@ fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
     h.finish()
 }
 
-impl State {
+impl WorldState {
+    /// The initial state of an `n`-process world.
+    fn new(n: usize, track: bool, viewsum: bool, tso: bool) -> Self {
+        WorldState {
+            obs_fp: vec![0; n],
+            finished: vec![false; n],
+            crashed: vec![false; n],
+            results: vec![None; n],
+            own_steps: vec![0; n],
+            buffers: vec![Vec::new(); n],
+            track,
+            viewsum,
+            tso,
+            ..WorldState::default()
+        }
+    }
+
+    /// Number of processes.
+    fn n(&self) -> usize {
+        self.finished.len()
+    }
+
+    /// Schedulable processes (neither finished nor crashed), in
+    /// increasing pid order — the order [`Schedule::Indexed`] indexes
+    /// into.
+    fn alive(&self) -> Vec<Pid> {
+        (0..self.n()).filter(|&p| !self.finished[p] && !self.crashed[p]).collect()
+    }
+
+    /// Processes with a non-empty store buffer, in increasing pid order
+    /// (always empty under SC).
+    fn flushable(&self) -> Vec<Pid> {
+        (0..self.n()).filter(|&p| !self.buffers[p].is_empty()).collect()
+    }
+
+    /// Records that `pid`'s body returned `v`.
+    fn finish(&mut self, pid: Pid, v: u64) {
+        self.finished[pid] = true;
+        self.results[pid] = Some(v);
+    }
+
     /// Folds one completed operation of `pid` into its observation
-    /// fingerprint (only called when [`State::track`] is set).
+    /// fingerprint (only called when [`WorldState::track`] is set).
     fn observe(&mut self, pid: Pid, op: u64, key: ObjKey, result_fp: u64) {
         let mut h = Fnv1a::default();
         h.write_u64(op);
@@ -692,13 +656,20 @@ impl State {
         self.obs_fp[pid] = mix(self.obs_fp[pid], h.finish());
     }
 
+    /// Accounts one completed operation of `pid` on object kind `kind`.
+    fn count_op(&mut self, pid: Pid, kind: u32) {
+        self.own_steps[pid] += 1;
+        self.steps += 1;
+        *self.op_counts.entry(kind).or_insert(0) += 1;
+    }
+
     /// Runs `f` on the object at `key` (created via `default` on first
     /// access), maintaining the incremental memory fingerprint
-    /// [`State::mem_fp`]: the key's contribution is XORed out before and
-    /// back in after the access, and a freshly defaulted object is XORed
-    /// in — so `mem_fp` always equals the full-map walk without ever
-    /// recomputing it (asserted in debug builds by
-    /// [`State::fingerprint`]).
+    /// [`WorldState::mem_fp`]: the key's contribution is XORed out before
+    /// and back in after the access, and a freshly defaulted object is
+    /// XORed in — so `mem_fp` always equals the full-map walk without
+    /// ever recomputing it (asserted per pick in debug builds by the
+    /// gated run's state hashes).
     fn with_obj<R>(
         &mut self,
         key: ObjKey,
@@ -717,12 +688,49 @@ impl State {
         out
     }
 
-    /// Flushes the oldest entry of `pid`'s store buffer to shared memory
-    /// (TSO mode). Panics if the buffer is empty.
+    /// Performs `pid`'s write: under TSO it parks in `pid`'s store buffer
+    /// (shared memory changes only at the flush step), under SC it is
+    /// stored at once.
+    fn write(&mut self, pid: Pid, w: BufferedWrite) {
+        if self.tso {
+            self.buffers[pid].push(w);
+        } else {
+            self.store(w);
+        }
+    }
+
+    /// Stores one write in shared memory.
+    fn store(&mut self, w: BufferedWrite) {
+        let BufferedWrite { key, cell_idx, len, cell } = w;
+        let default = || match cell_idx {
+            None => Object::Register(None),
+            Some(_) => Object::Snapshot(vec![None; len]),
+        };
+        self.with_obj(key, default, |obj| match (cell_idx, obj) {
+            (None, Object::Register(slot)) => *slot = Some(cell),
+            (Some(i), Object::Snapshot(cells)) => {
+                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
+                cells[i] = Some(cell);
+            }
+            (None, other) => panic!("object {key} is not a register: {other:?}"),
+            (Some(_), other) => panic!("object {key} is not a snapshot object: {other:?}"),
+        });
+    }
+
+    /// Stores the oldest entry of `pid`'s store buffer in shared memory.
     fn flush_head(&mut self, pid: Pid) {
         assert!(!self.buffers[pid].is_empty(), "flush of an empty store buffer (pid {pid})");
         let w = self.buffers[pid].remove(0);
-        apply_buffered_write(&mut self.objects, &mut self.mem_fp, self.track, w);
+        self.store(w);
+    }
+
+    /// One action of the TSO flush band: flushes `pid`'s buffer head as
+    /// one global step of the hardware, not of any process — memory, the
+    /// buffer and the step count change; logs, observation histories and
+    /// own-step clocks do not.
+    fn flush_step(&mut self, pid: Pid) {
+        self.flush_head(pid);
+        self.steps += 1;
     }
 
     /// Drains `pid`'s store buffer to shared memory in FIFO order — the
@@ -734,44 +742,135 @@ impl State {
         }
     }
 
-    /// The full-map recomputation of [`State::mem_fp`] — only used to
-    /// cross-check the incremental accumulator in debug builds.
+    /// The full-map recomputation of [`WorldState::mem_fp`] — only used
+    /// to cross-check the incremental accumulator in debug builds.
     fn recompute_mem_fp(&self) -> u64 {
         self.objects.iter().fold(0u64, |acc, (key, obj)| acc ^ key_obj_fp(*key, obj))
     }
 
+    /// The flags word of process `p`: finished, adversary-crashed (in
+    /// bits 1 and 2 both, the layout every pinned fingerprint — golden
+    /// catalogue, spilled sweeps — was computed with) and has-result,
+    /// extended with the store-buffer contents when (and only when) the
+    /// buffer is non-empty, so an SC state and a TSO state with drained
+    /// buffers have the same identity. The one definition behind every
+    /// state fingerprint: plain, quotient and symmetric.
+    fn flags(&self, p: Pid) -> u64 {
+        let flags = u64::from(self.finished[p])
+            | u64::from(self.crashed[p]) << 1
+            | u64::from(self.crashed[p]) << 2
+            | u64::from(self.results[p].is_some()) << 3;
+        let buf = &self.buffers[p];
+        if buf.is_empty() {
+            flags
+        } else {
+            mix(flags, buffer_fp(buf))
+        }
+    }
+
     /// Fingerprint of the current global state: shared memory (the
     /// incrementally maintained, iteration-order-independent
-    /// [`State::mem_fp`]), plus every process's observation history,
-    /// liveness flags, and result.
-    ///
-    /// Two equal fingerprints identify states with identical futures under
-    /// identical schedule suffixes — see [`crate::explore`] for the
-    /// pruning argument. Deliberately excluded: step counters, traces, and
+    /// [`WorldState::mem_fp`]), plus every process's observation history,
+    /// flags word and result. Deliberately excluded: step counters and
     /// `op_counts` (path statistics, not state).
-    fn fingerprint(&self) -> u64 {
+    ///
+    /// With `quotient_obs`, terminated (finished or crashed) processes
+    /// contribute `0` in place of their observation histories, and the
+    /// path's total step count — which the explorer's `max_steps`
+    /// timeout reads, never a terminated process's share of it — is
+    /// folded into the memory word in their stead
+    /// ([`Snapshot::fingerprint_quotient`]).
+    fn fingerprint(&self, quotient_obs: bool) -> u64 {
         debug_assert!(self.track, "fingerprints require tracking");
-        debug_assert_eq!(
-            self.mem_fp,
-            self.recompute_mem_fp(),
-            "incremental memory fingerprint drifted from the full-map walk"
-        );
+        let mem = if quotient_obs { mix(self.mem_fp, self.steps) } else { self.mem_fp };
         fold_state_fp(
-            self.mem_fp,
-            (0..self.obs_fp.len()).map(|p| {
-                (
-                    self.obs_fp[p],
-                    flags_with_buffer(
-                        u64::from(self.finished[p])
-                            | u64::from(self.crashed[p]) << 1
-                            | u64::from(self.adversary_crash[p]) << 2
-                            | u64::from(self.results[p].is_some()) << 3,
-                        &self.buffers[p],
-                    ),
-                    self.results[p].unwrap_or(0),
-                )
+            mem,
+            (0..self.n()).map(|p| {
+                let terminated = self.finished[p] || self.crashed[p];
+                let obs = if quotient_obs && terminated { 0 } else { self.obs_fp[p] };
+                (obs, self.flags(p), self.results[p].unwrap_or(0))
             }),
         )
+    }
+
+    /// The [`RunReport`] of the path that reached this state: the
+    /// decided processes, the adversary's crashes, and everyone else
+    /// [`Outcome::Undecided`]; no path recordings.
+    fn report(&self, timed_out: bool) -> RunReport {
+        let outcomes = (0..self.n())
+            .map(|p| match self.results[p] {
+                Some(v) => Outcome::Decided(v),
+                None if self.crashed[p] => Outcome::Crashed,
+                None => Outcome::Undecided,
+            })
+            .collect();
+        let mut ops_by_kind: Vec<(u32, u64)> =
+            self.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
+        ops_by_kind.sort_unstable();
+        RunReport {
+            outcomes,
+            steps: self.steps,
+            timed_out,
+            trace: None,
+            state_hashes: None,
+            ops_by_kind,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Permit {
+    Idle,
+    Granted,
+    Crash,
+}
+
+/// The thread gate of a gated run: everything only the scheduler and the
+/// process threads exchange.
+struct Gate {
+    permits: Vec<Permit>,
+    /// Process is parked at its gate, ready to take a granted step. The
+    /// scheduler only picks among *settled* processes (waiting, finished
+    /// or unwound), which makes the alive set — and hence branch degrees
+    /// and traces — deterministic instead of racing with finish
+    /// recording.
+    waiting: Vec<bool>,
+    /// The granted process completed its operation.
+    op_done: bool,
+    /// The process thread unwound: by an adversary crash, by the timeout
+    /// sweep, or by a real panic.
+    unwound: Vec<bool>,
+    failures: Vec<(Pid, String)>,
+    trace: Vec<Pid>,
+}
+
+/// How [`ModelWorld::step`] treats an operation.
+enum Mode {
+    /// No scheduler: every op proceeds immediately (direct unit tests of
+    /// object semantics).
+    Free,
+    /// [`ModelWorld::run`]: every op waits for the scheduler's grant.
+    Gated(Gate),
+    /// One process is driven from a [`Snapshot`] on the caller thread:
+    /// its operation log is replayed and exactly the granted fresh
+    /// operations execute (see [`snapshot`]).
+    Resume(ResumeCtl),
+}
+
+/// Everything behind a [`ModelWorld`]'s lock: the world state and how
+/// its operations are admitted.
+struct State {
+    world: WorldState,
+    mode: Mode,
+}
+
+impl State {
+    /// The thread gate (gated runs only).
+    fn gate(&mut self) -> &mut Gate {
+        match &mut self.mode {
+            Mode::Gated(gate) => gate,
+            _ => unreachable!("only gated runs have a thread gate"),
+        }
     }
 }
 
@@ -794,41 +893,23 @@ impl std::fmt::Debug for ModelWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.st.lock();
         f.debug_struct("ModelWorld")
-            .field("n", &st.permits.len())
-            .field("objects", &st.objects.len())
-            .field("free", &st.free)
+            .field("n", &st.world.n())
+            .field("objects", &st.world.objects.len())
+            .field("free", &matches!(st.mode, Mode::Free))
             .finish()
     }
 }
 
 impl ModelWorld {
-    fn new(n: usize, free: bool, track: bool, viewsum: bool, tso: bool) -> Self {
-        let st = State {
-            permits: vec![Permit::Idle; n],
-            op_done: false,
-            waiting: vec![false; n],
-            finished: vec![false; n],
-            crashed: vec![false; n],
-            adversary_crash: vec![false; n],
-            results: vec![None; n],
-            failures: Vec::new(),
-            objects: HashMap::new(),
-            op_counts: HashMap::new(),
-            own_steps: vec![0; n],
-            trace: Vec::new(),
-            obs_fp: vec![0; n],
-            mem_fp: 0,
-            track,
-            viewsum,
-            free,
-            resume: None,
-            tso,
-            buffers: vec![Vec::new(); n],
+    fn with_state(world: WorldState, mode: Mode) -> Self {
+        let cvs = match &mode {
+            Mode::Gated(gate) => gate.permits.len(),
+            Mode::Free | Mode::Resume(_) => 0,
         };
         ModelWorld {
             inner: Arc::new(Inner {
-                st: Mutex::new(st),
-                proc_cvs: (0..n).map(|_| Condvar::new()).collect(),
+                st: Mutex::new(State { world, mode }),
+                proc_cvs: (0..cvs).map(|_| Condvar::new()).collect(),
                 sched_cv: Condvar::new(),
             }),
         }
@@ -840,7 +921,7 @@ impl ModelWorld {
     /// use would be linearizable (each op still runs under the world lock)
     /// but not deterministic.
     pub fn new_free(n: usize) -> Self {
-        ModelWorld::new(n, true, false, false, false)
+        ModelWorld::with_state(WorldState::new(n, false, false, false), Mode::Free)
     }
 
     /// Runs `bodies` (one per process) to completion under `cfg`.
@@ -862,7 +943,16 @@ impl ModelWorld {
         );
         install_crash_hook();
         let n = cfg.n();
-        let world = ModelWorld::new(n, false, cfg.record_state_hashes, cfg.view_summaries, cfg.tso);
+        let gate = Gate {
+            permits: vec![Permit::Idle; n],
+            waiting: vec![false; n],
+            op_done: false,
+            unwound: vec![false; n],
+            failures: Vec::new(),
+            trace: Vec::new(),
+        };
+        let state = WorldState::new(n, cfg.record_state_hashes, cfg.view_summaries, cfg.tso);
+        let world = ModelWorld::with_state(state, Mode::Gated(gate));
         let mut sched = ScheduleState::new(cfg.schedule.clone());
         let mut crash = CrashState::new(cfg.crashes.clone());
 
@@ -878,20 +968,20 @@ impl ModelWorld {
             })
             .collect();
 
-        let mut steps: u64 = 0;
         let mut picks: usize = 0;
         let mut timed_out = false;
-        let mut branching: Vec<usize> = Vec::new();
         let mut state_hashes: Vec<u64> = Vec::new();
         loop {
-            let (alive, flushable): (Vec<Pid>, Vec<Pid>) = {
+            let (alive, flushable, steps) = {
                 // Wait until every process is settled (parked at its gate,
-                // finished, or crashed): the alive set is then a pure
+                // finished, or unwound): the alive set is then a pure
                 // function of the schedule prefix, so runs are replayable.
                 let mut st = world.inner.st.lock();
                 loop {
-                    let settled = (0..n).all(|p| st.waiting[p] || st.finished[p] || st.crashed[p]);
-                    if settled {
+                    let Mode::Gated(gate) = &st.mode else {
+                        unreachable!("run drives a gated world");
+                    };
+                    if (0..n).all(|p| gate.waiting[p] || st.world.finished[p] || gate.unwound[p]) {
                         break;
                     }
                     if world.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
@@ -903,16 +993,14 @@ impl ModelWorld {
                 // The state reached by the previous pick, now that its
                 // effects are settled.
                 if cfg.record_state_hashes && picks > state_hashes.len() {
-                    state_hashes.push(st.fingerprint());
+                    debug_assert_eq!(
+                        st.world.mem_fp,
+                        st.world.recompute_mem_fp(),
+                        "incremental memory fingerprint drifted from the full-map walk"
+                    );
+                    state_hashes.push(st.world.fingerprint(false));
                 }
-                let alive: Vec<Pid> =
-                    (0..n).filter(|&p| !st.finished[p] && !st.crashed[p]).collect();
-                let flushable: Vec<Pid> = if cfg.tso {
-                    (0..n).filter(|&p| !st.buffers[p].is_empty()).collect()
-                } else {
-                    Vec::new()
-                };
-                (alive, flushable)
+                (st.world.alive(), st.world.flushable(), st.world.steps)
             };
             // A TSO run is terminal only once every buffer has drained:
             // undelivered writes still change shared memory.
@@ -926,38 +1014,26 @@ impl ModelWorld {
                 }
                 break;
             }
-            if cfg.record_branching {
-                branching.push(alive.len() + flushable.len());
-            }
-            let (pid, crash_pick) = if cfg.tso {
-                match sched.pick_tso(&alive, n, &flushable) {
-                    Pick::Flush(p) => {
-                        // A flush is one global step of the hardware, not
-                        // of any process: memory and the flushed buffer
-                        // change, logs and own-step clocks do not.
-                        picks += 1;
-                        steps += 1;
-                        world.inner.st.lock().flush_head(p);
-                        continue;
-                    }
-                    Pick::Crash(p) => (p, true),
-                    Pick::Op(p) => (p, false),
-                }
-            } else {
-                sched.pick(&alive)
-            };
             picks += 1;
-            let own = { world.inner.st.lock().own_steps[pid] };
-            // A crash-flagged pick delivers one of the crash-count
-            // adversary's budgeted crashes (inert under other policies);
-            // otherwise the crash policy decides, as always.
-            let crashes_now =
-                if crash_pick { crash.force_crash() } else { crash.should_crash(pid, own) };
+            // A crash pick delivers one of the crash-count adversary's
+            // budgeted crashes (inert under other policies); on an op pick
+            // the crash policy decides, as always.
+            let (pid, crashes_now) = match sched.pick(&alive, n, &flushable) {
+                Pick::Flush(p) => {
+                    world.inner.st.lock().world.flush_step(p);
+                    continue;
+                }
+                Pick::Crash(p) => (p, crash.force_crash()),
+                Pick::Op(p) => {
+                    let own = world.inner.st.lock().world.own_steps[p];
+                    (p, crash.should_crash(p, own))
+                }
+            };
             if crashes_now {
-                world.inner.st.lock().adversary_crash[pid] = true;
+                world.inner.st.lock().world.crashed[pid] = true;
                 world.deliver_crash(pid);
-            } else if world.grant(pid, cfg.record_trace) {
-                steps += 1;
+            } else {
+                world.grant(pid, cfg.record_trace);
             }
         }
 
@@ -966,36 +1042,20 @@ impl ModelWorld {
         }
 
         let mut st = world.inner.st.lock();
-        if let Some((pid, msg)) = st.failures.first() {
+        let gate = st.gate();
+        if let Some((pid, msg)) = gate.failures.first() {
             panic!("virtual process {pid} failed: {msg}");
         }
-        let outcomes = (0..n)
-            .map(|p| {
-                if let Some(v) = st.results[p] {
-                    Outcome::Decided(v)
-                } else if st.adversary_crash[p] {
-                    Outcome::Crashed
-                } else {
-                    // Unwound by the timeout sweep: blocked or starved.
-                    Outcome::Undecided
-                }
-            })
-            .collect();
-        let mut ops_by_kind: Vec<(u32, u64)> = st.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        ops_by_kind.sort_unstable();
+        let trace = cfg.record_trace.then(|| std::mem::take(&mut gate.trace));
         debug_assert!(
             !cfg.record_state_hashes || timed_out || state_hashes.len() == picks,
             "one state fingerprint per pick ({} hashes, {picks} picks)",
             state_hashes.len()
         );
         RunReport {
-            outcomes,
-            steps,
-            timed_out,
-            trace: cfg.record_trace.then(|| std::mem::take(&mut st.trace)),
-            branching: cfg.record_branching.then_some(branching),
+            trace,
             state_hashes: cfg.record_state_hashes.then_some(state_hashes),
-            ops_by_kind,
+            ..st.world.report(timed_out)
         }
     }
 
@@ -1005,41 +1065,40 @@ impl ModelWorld {
         let result = catch_unwind(AssertUnwindSafe(move || body(env)));
         let mut st = self.inner.st.lock();
         match result {
-            Ok(v) => {
-                st.finished[pid] = true;
-                st.results[pid] = Some(v);
-            }
+            Ok(v) => st.world.finish(pid, v),
             Err(payload) => {
-                if payload.downcast_ref::<CrashSignal>().is_some() {
-                    st.crashed[pid] = true;
-                } else {
+                if payload.downcast_ref::<CrashSignal>().is_none() {
                     let msg = panic_message(payload.as_ref());
-                    st.failures.push((pid, msg));
-                    st.crashed[pid] = true;
+                    st.gate().failures.push((pid, msg));
+                    // The failed process leaves the schedule; the run
+                    // reports the failure once every thread has joined.
+                    st.world.crashed[pid] = true;
                 }
+                st.gate().unwound[pid] = true;
             }
         }
         self.inner.sched_cv.notify_one();
     }
 
-    /// Grants one step to `pid`; returns `true` if a step was completed
-    /// (`false` if the process finished or crashed while granted).
-    fn grant(&self, pid: Pid, record_trace: bool) -> bool {
+    /// Grants one step to `pid` and waits until it completed the step —
+    /// or finished or unwound while granted.
+    fn grant(&self, pid: Pid, record_trace: bool) {
         let mut st = self.inner.st.lock();
-        st.permits[pid] = Permit::Granted;
+        st.gate().permits[pid] = Permit::Granted;
         self.inner.proc_cvs[pid].notify_one();
         loop {
-            if st.op_done {
-                st.op_done = false;
-                st.own_steps[pid] += 1;
+            let finished = st.world.finished[pid];
+            let gate = st.gate();
+            if gate.op_done {
+                gate.op_done = false;
                 if record_trace {
-                    st.trace.push(pid);
+                    gate.trace.push(pid);
                 }
-                return true;
+                return;
             }
-            if st.finished[pid] || st.crashed[pid] {
-                st.permits[pid] = Permit::Idle;
-                return false;
+            if finished || gate.unwound[pid] {
+                gate.permits[pid] = Permit::Idle;
+                return;
             }
             if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
                 panic!("virtual process {pid} did not take its granted step within {STEP_GRANT_TIMEOUT:?} (runaway local loop?)");
@@ -1050,9 +1109,9 @@ impl ModelWorld {
     /// Crashes `pid`: the process unwinds at its next (or pending) gate.
     fn deliver_crash(&self, pid: Pid) {
         let mut st = self.inner.st.lock();
-        st.permits[pid] = Permit::Crash;
+        st.gate().permits[pid] = Permit::Crash;
         self.inner.proc_cvs[pid].notify_one();
-        while !st.crashed[pid] && !st.finished[pid] {
+        while !st.gate().unwound[pid] && !st.world.finished[pid] {
             if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
                 panic!(
                     "virtual process {pid} did not acknowledge crash within {STEP_GRANT_TIMEOUT:?}"
@@ -1064,61 +1123,68 @@ impl ModelWorld {
     /// Performs one shared-memory step of `pid`.
     ///
     /// In the gated mode this waits for the scheduler's grant, runs `op`
-    /// on the state (object map + fingerprint bookkeeping), signals
-    /// completion, and accounts the operation to its object-kind
-    /// namespace. `footprint` describes the operation's dependency
-    /// surface (object, cell granularity, purity — published while
-    /// parked, for the explorer's reductions).
+    /// on the world state (object map + fingerprint bookkeeping), and
+    /// signals completion. `footprint` describes the operation's
+    /// dependency surface (object, cell granularity, purity — published
+    /// while parked, for the explorer's reductions).
     ///
     /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
     /// are answered from the recorded log without executing `op`; the
     /// granted fresh operations execute and are appended to the log; one
     /// operation past the budget unwinds with [`StopSignal`] — the
     /// process is then parked at its next gate, footprint recorded.
-    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut State) -> R) -> R
+    ///
+    /// Every executed operation is accounted to its process and its
+    /// object-kind namespace, in every mode.
+    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut WorldState) -> R) -> R
     where
         R: Clone + Send + Sync + 'static,
     {
         let key = footprint.key;
         let mut st = self.inner.st.lock();
-        if st.resume.is_some() {
-            match snapshot::resume_gate::<R>(&mut st, pid, footprint.op, key) {
+        match &mut st.mode {
+            Mode::Free => {}
+            Mode::Resume(ctl) => match ctl.gate::<R>(pid, footprint.op, key) {
                 snapshot::ResumeGate::Replayed(out) => return out,
                 snapshot::ResumeGate::Park => {
-                    st.resume.as_mut().expect("resume mode").park_at(footprint);
+                    ctl.park_at(footprint);
                     drop(st);
                     std::panic::panic_any(StopSignal);
                 }
                 snapshot::ResumeGate::Fresh => {}
-            }
-        } else if !st.free {
-            st.waiting[pid] = true;
-            self.inner.sched_cv.notify_one();
-            loop {
-                match st.permits[pid] {
-                    Permit::Granted => {
-                        st.permits[pid] = Permit::Idle;
-                        st.waiting[pid] = false;
-                        break;
+            },
+            Mode::Gated(gate) => {
+                gate.waiting[pid] = true;
+                self.inner.sched_cv.notify_one();
+                loop {
+                    let gate = st.gate();
+                    match gate.permits[pid] {
+                        Permit::Granted => {
+                            gate.permits[pid] = Permit::Idle;
+                            gate.waiting[pid] = false;
+                            break;
+                        }
+                        Permit::Crash => {
+                            gate.waiting[pid] = false;
+                            drop(st);
+                            std::panic::panic_any(CrashSignal);
+                        }
+                        Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
                     }
-                    Permit::Crash => {
-                        st.waiting[pid] = false;
-                        drop(st);
-                        std::panic::panic_any(CrashSignal);
-                    }
-                    Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
                 }
             }
         }
-        let out = op(&mut st);
-        *st.op_counts.entry(key.kind).or_insert(0) += 1;
-        if st.resume.is_some() {
-            st.own_steps[pid] += 1;
-            let entry = LogEntry::new(footprint.op, key, Arc::new(out.clone()));
-            st.resume.as_mut().expect("resume mode").push_fresh(entry);
-        } else if !st.free {
-            st.op_done = true;
-            self.inner.sched_cv.notify_one();
+        let out = op(&mut st.world);
+        st.world.count_op(pid, key.kind);
+        match &mut st.mode {
+            Mode::Free => {}
+            Mode::Resume(ctl) => {
+                ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())));
+            }
+            Mode::Gated(gate) => {
+                gate.op_done = true;
+                self.inner.sched_cv.notify_one();
+            }
         }
         out
     }
@@ -1145,9 +1211,11 @@ fn downcast<T: MemVal>(stored: &Stored, key: ObjKey, what: &str) -> T {
 /// [`World::snap_scan_via`]: reads every cell of the `len`-cell snapshot
 /// object `key` (created on first access), with the usual
 /// algorithm-bug panics (kind mismatch, length mismatch, cell type
-/// mismatch).
-fn scan_cells<T: MemVal>(st: &mut State, key: ObjKey, len: usize) -> Vec<Option<T>> {
-    st.with_obj(
+/// mismatch), then — under TSO store-to-load forwarding — overlays
+/// `pid`'s own buffered cells of `key` in FIFO order (newest entry per
+/// cell wins). The overlay is a no-op under SC (buffers are empty).
+fn scan_cells<T: MemVal>(w: &mut WorldState, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
+    let mut view: Vec<Option<T>> = w.with_obj(
         key,
         || Object::Snapshot(vec![None; len]),
         |obj| match obj {
@@ -1160,49 +1228,31 @@ fn scan_cells<T: MemVal>(st: &mut State, key: ObjKey, len: usize) -> Vec<Option<
             }
             other => panic!("object {key} is not a snapshot object: {other:?}"),
         },
-    )
-}
-
-/// TSO store-to-load forwarding for scans: overlays `pid`'s own buffered
-/// cells of snapshot object `key` onto a freshly scanned view, in FIFO
-/// order (newest entry per cell wins). No-op under SC (buffers are empty).
-fn overlay_own_buffer<T: MemVal>(st: &State, pid: Pid, key: ObjKey, view: &mut [Option<T>]) {
-    for w in st.buffers[pid].iter().filter(|w| w.key == key) {
-        let i = w
+    );
+    for b in w.buffers[pid].iter().filter(|b| b.key == key) {
+        let i = b
             .cell_idx
             .unwrap_or_else(|| panic!("object {key} is not a register: buffered kind mismatch"));
-        view[i] = Some(downcast(w.stored().0, key, "buffered snapshot cell"));
+        view[i] = Some(downcast(&b.cell.val, key, "buffered snapshot cell"));
     }
+    view
 }
 
 impl World for ModelWorld {
     fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) {
-        self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |st| {
-            let cell = Cell::new(val, st.track);
+        self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |w| {
+            let cell = Cell::new(val, w.track);
             let fp = cell.fp;
-            if st.tso {
-                // TSO: the write parks in the issuing process's FIFO store
-                // buffer; shared memory changes only at the flush step.
-                st.buffers[pid].push(BufferedWrite::new_register(key, cell.val, fp));
-            } else {
-                st.with_obj(
-                    key,
-                    || Object::Register(None),
-                    |obj| match obj {
-                        Object::Register(slot) => *slot = Some(cell),
-                        other => panic!("object {key} is not a register: {other:?}"),
-                    },
-                );
-            }
-            if st.track {
-                st.observe(pid, OP_REG_WRITE, key, fp);
+            w.write(pid, BufferedWrite { key, cell_idx: None, len: 0, cell });
+            if w.track {
+                w.observe(pid, OP_REG_WRITE, key, fp);
             }
         });
     }
 
     fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> Option<T> {
-        self.step(pid, Footprint::new(OP_REG_READ, key, None, true), |st| {
-            let mut out = st.with_obj(
+        self.step(pid, Footprint::new(OP_REG_READ, key, None, true), |w| {
+            let mut out = w.with_obj(
                 key,
                 || Object::Register(None),
                 |obj| match obj {
@@ -1212,19 +1262,17 @@ impl World for ModelWorld {
                     other => panic!("object {key} is not a register: {other:?}"),
                 },
             );
-            if st.tso {
-                // TSO store-to-load forwarding: a read sees the newest
-                // entry for its object in the *issuing process's own*
-                // buffer, ahead of shared memory. Other processes' buffers
-                // are invisible — that is exactly the SB reordering.
-                if let Some(w) =
-                    st.buffers[pid].iter().rev().find(|w| w.key == key && w.cell_idx.is_none())
-                {
-                    out = Some(downcast(w.stored().0, key, "buffered register write"));
-                }
+            // TSO store-to-load forwarding: a read sees the newest entry
+            // for its object in the *issuing process's own* buffer, ahead
+            // of shared memory. Other processes' buffers are invisible —
+            // that is exactly the SB reordering. (Empty under SC.)
+            if let Some(b) =
+                w.buffers[pid].iter().rev().find(|b| b.key == key && b.cell_idx.is_none())
+            {
+                out = Some(downcast(&b.cell.val, key, "buffered register write"));
             }
-            if st.track {
-                st.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
+            if w.track {
+                w.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
             }
             out
         })
@@ -1232,36 +1280,21 @@ impl World for ModelWorld {
 
     fn snap_write<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
-        self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |st| {
-            let cell = Cell::new(val, st.track);
+        self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |w| {
+            let cell = Cell::new(val, w.track);
             let fp = cell.fp;
-            if st.tso {
-                st.buffers[pid].push(BufferedWrite::new_snap_cell(key, idx, len, cell.val, fp));
-            } else {
-                st.with_obj(
-                    key,
-                    || Object::Snapshot(vec![None; len]),
-                    |obj| match obj {
-                        Object::Snapshot(cells) => {
-                            assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                            cells[idx] = Some(cell);
-                        }
-                        other => panic!("object {key} is not a snapshot object: {other:?}"),
-                    },
-                );
-            }
-            if st.track {
-                st.observe(pid, OP_SNAP_WRITE, key, mix(idx as u64, fp));
+            w.write(pid, BufferedWrite { key, cell_idx: Some(idx), len, cell });
+            if w.track {
+                w.observe(pid, OP_SNAP_WRITE, key, mix(idx as u64, fp));
             }
         });
     }
 
     fn snap_scan<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
-            let mut out: Vec<Option<T>> = scan_cells(st, key, len);
-            overlay_own_buffer(st, pid, key, &mut out);
-            if st.track {
-                st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
+        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |w| {
+            let out: Vec<Option<T>> = scan_cells(w, pid, key, len);
+            if w.track {
+                w.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
             }
             out
         })
@@ -1285,13 +1318,12 @@ impl World for ModelWorld {
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
     ) -> S {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
-            let mut raw: Vec<Option<T>> = scan_cells(st, key, len);
-            overlay_own_buffer(st, pid, key, &mut raw);
+        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |w| {
+            let raw: Vec<Option<T>> = scan_cells(w, pid, key, len);
             let out = summarize(&raw);
-            if st.track {
-                let result_fp = if st.viewsum { fp_of(&out) } else { fp_of(&raw) };
-                st.observe(pid, OP_SNAP_SCAN, key, result_fp);
+            if w.track {
+                let result_fp = if w.viewsum { fp_of(&out) } else { fp_of(&raw) };
+                w.observe(pid, OP_SNAP_SCAN, key, result_fp);
             }
             out
         })
@@ -1303,26 +1335,24 @@ impl World for ModelWorld {
         // check reads the fixed `tso` mode flag only (never buffer
         // contents), so whether a fence gates is a pure function of the
         // run mode and log replay stays deterministic.
-        if !self.inner.st.lock().tso {
+        if !self.inner.st.lock().world.tso {
             return;
         }
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
-        self.step(pid, Footprint::new(OP_FENCE, key, None, false), |st| {
-            st.drain_buffer(pid);
-            if st.track {
-                st.observe(pid, OP_FENCE, key, 0);
+        self.step(pid, Footprint::new(OP_FENCE, key, None, false), |w| {
+            w.drain_buffer(pid);
+            if w.track {
+                w.observe(pid, OP_FENCE, key, 0);
             }
         });
     }
 
     fn tas(&self, pid: Pid, key: ObjKey) -> bool {
-        self.step(pid, Footprint::new(OP_TAS, key, None, false), |st| {
-            if st.tso {
-                // x86-TSO: a LOCK'd RMW drains the issuing process's
-                // buffer as part of its atomic step.
-                st.drain_buffer(pid);
-            }
-            let won = st.with_obj(
+        self.step(pid, Footprint::new(OP_TAS, key, None, false), |w| {
+            // x86-TSO: a LOCK'd RMW drains the issuing process's buffer
+            // as part of its atomic step (a no-op under SC).
+            w.drain_buffer(pid);
+            let won = w.with_obj(
                 key,
                 || Object::Tas(false),
                 |obj| match obj {
@@ -1334,8 +1364,8 @@ impl World for ModelWorld {
                     other => panic!("object {key} is not a test&set object: {other:?}"),
                 },
             );
-            if st.track {
-                st.observe(pid, OP_TAS, key, u64::from(won));
+            if w.track {
+                w.observe(pid, OP_TAS, key, u64::from(won));
             }
             won
         })
@@ -1346,13 +1376,11 @@ impl World for ModelWorld {
             ports.contains(&pid),
             "process {pid} is not a port of consensus object {key} (ports {ports:?})"
         );
-        self.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
-            if st.tso {
-                // LOCK'd RMW under x86-TSO — see `tas`.
-                st.drain_buffer(pid);
-            }
-            let track = st.track;
-            let out = st.with_obj(
+        self.step(pid, Footprint::new(OP_XCONS, key, None, false), |w| {
+            // LOCK'd RMW under x86-TSO — see `tas`.
+            w.drain_buffer(pid);
+            let track = w.track;
+            let out = w.with_obj(
                 key,
                 || Object::XCons { ports: ports.to_vec(), decided: None },
                 |obj| match obj {
@@ -1367,8 +1395,8 @@ impl World for ModelWorld {
                     other => panic!("object {key} is not a consensus object: {other:?}"),
                 },
             );
-            if st.track {
-                st.observe(pid, OP_XCONS, key, fp_of(&out));
+            if w.track {
+                w.observe(pid, OP_XCONS, key, fp_of(&out));
             }
             out
         })
@@ -1607,7 +1635,6 @@ mod tests {
             steps: 10,
             timed_out: true,
             trace: None,
-            branching: None,
             state_hashes: None,
             ops_by_kind: vec![],
         };

@@ -1,26 +1,31 @@
 //! Snapshot-resume execution of model-world programs.
 //!
 //! A [`Snapshot`] is a cheap checkpoint of one reachable global state:
-//! shared memory (plain clone of the object map — objects share their
-//! `Arc`ed cells), the incremental memory fingerprint, each process's
-//! observation history, liveness flags and result, and — the key piece —
-//! each process's **operation log**: the ordered `(op, key, result)`
-//! records of every shared-memory operation it has completed. Because
-//! process bodies are deterministic closures whose control state is
-//! exactly a function of the values their operations returned, a log *is*
-//! a continuation cursor: re-running the body and answering its first
-//! `log.len()` operations from the log reconstructs the process's local
-//! state without executing anything against shared memory, without
-//! threads, and without scheduler handshakes.
+//! the model world's one world-state record (shared memory — a plain
+//! clone of the object map, whose objects share their `Arc`ed cells —
+//! the memory and observation fingerprints, liveness flags, results,
+//! counters and store buffers; the same record the gated engine drives
+//! behind its thread gate) plus what only resumption needs: each
+//! process's **operation log** — the ordered `(op, key, result)` records
+//! of every shared-memory operation it has completed — and the footprint
+//! of the operation it is parked before. Because process bodies are
+//! deterministic closures whose control state is exactly a function of
+//! the values their operations returned, a log *is* a continuation
+//! cursor: re-running the body and answering its first `log.len()`
+//! operations from the log reconstructs the process's local state
+//! without executing anything against shared memory, without threads,
+//! and without scheduler handshakes.
 //!
 //! [`ModelWorld::resume_from`] uses that to execute **one** scheduling
-//! decision from a snapshot on the caller thread: replay the picked
-//! process's log, execute its next operation against the snapshot's
-//! memory (appending the new log record), let the body run on to its next
-//! gate — where a [`StopSignal`] unwind parks it, recording the purity of
-//! the operation it stopped at — or to completion. The exhaustive
-//! explorer ([`crate::explore`]) expands its frontier this way instead of
-//! re-executing every schedule from the root.
+//! decision from a snapshot on the caller thread: move a copy of the
+//! record into a resume-mode world, replay the picked process's log,
+//! execute its next operation against the record (appending the new log
+//! record), let the body run on to its next gate — where a
+//! [`StopSignal`] unwind parks it, recording the footprint of the
+//! operation it stopped at — or to completion, and move the record back
+//! out. The exhaustive explorer ([`crate::explore`]) expands its
+//! frontier this way instead of re-executing every schedule from the
+//! root.
 //!
 //! The cost of resuming process `p` is `O(|log(p)|)` pure closure
 //! re-execution (no syscalls, no locks beyond uncontended per-op
@@ -33,15 +38,12 @@
 //! local code without reaching another shared operation hangs the caller.
 //! The explorer's contract (bounded bodies) already excludes those.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
 use super::{
-    apply_buffered_write, codec, flags_with_buffer, install_crash_hook, panic_message, Body,
-    BufferedWrite, Footprint, Inner, ModelWorld, Outcome, Permit, RunReport, State, StopSignal,
+    codec, install_crash_hook, panic_message, Body, BufferedWrite, Footprint, Mode, ModelWorld,
+    RunReport, StopSignal, WorldState,
 };
 use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
 use crate::world::{Env, ObjKey, Pid, Stored};
@@ -62,7 +64,7 @@ impl LogEntry {
     }
 }
 
-/// Driver state of one resumed process (lives in [`State::resume`]).
+/// Control state of one resumed process (the resume [`Mode`]).
 pub(super) struct ResumeCtl {
     /// The process being driven — resume mode executes no other body.
     pid: Pid,
@@ -79,6 +81,52 @@ pub(super) struct ResumeCtl {
 }
 
 impl ResumeCtl {
+    /// Drives `pid` along `log`, allowing `budget` fresh operations
+    /// before parking (0 = probe only).
+    fn new(pid: Pid, log: Arc<Vec<LogEntry>>, budget: usize) -> Self {
+        ResumeCtl { pid, log, cursor: 0, budget, fresh: Vec::new(), next_op: None }
+    }
+
+    /// Classifies the operation `(op_tag, key)` of `pid` against the
+    /// resume log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body diverges from its recorded log (a
+    /// nondeterministic process body — disallowed by the model) or if
+    /// another process's body somehow runs.
+    pub(super) fn gate<R: Clone + 'static>(
+        &mut self,
+        pid: Pid,
+        op_tag: u64,
+        key: ObjKey,
+    ) -> ResumeGate<R> {
+        assert_eq!(pid, self.pid, "resume executes only the picked process");
+        if self.cursor < self.log.len() {
+            let entry = &self.log[self.cursor];
+            assert!(
+                entry.op == op_tag && entry.key == key,
+                "nondeterministic process body: replay step {} issued op {op_tag} on {key}, \
+                 log records op {} on {}",
+                self.cursor,
+                entry.op,
+                entry.key
+            );
+            self.cursor += 1;
+            let out = entry
+                .result
+                .downcast_ref::<R>()
+                .expect("nondeterministic process body: replayed result type changed")
+                .clone();
+            return ResumeGate::Replayed(out);
+        }
+        if self.fresh.len() >= self.budget {
+            ResumeGate::Park
+        } else {
+            ResumeGate::Fresh
+        }
+    }
+
     pub(super) fn push_fresh(&mut self, entry: LogEntry) {
         self.fresh.push(entry);
     }
@@ -102,47 +150,6 @@ pub(super) enum ResumeGate<R> {
     Park,
 }
 
-/// Classifies the operation `(op_tag, key)` of `pid` against the resume
-/// log.
-///
-/// # Panics
-///
-/// Panics if the body diverges from its recorded log (a nondeterministic
-/// process body — disallowed by the model) or if another process's body
-/// somehow runs.
-pub(super) fn resume_gate<R: Clone + 'static>(
-    st: &mut State,
-    pid: Pid,
-    op_tag: u64,
-    key: ObjKey,
-) -> ResumeGate<R> {
-    let ctl = st.resume.as_mut().expect("resume mode");
-    assert_eq!(pid, ctl.pid, "resume executes only the picked process");
-    if ctl.cursor < ctl.log.len() {
-        let entry = &ctl.log[ctl.cursor];
-        assert!(
-            entry.op == op_tag && entry.key == key,
-            "nondeterministic process body: replay step {} issued op {op_tag} on {key}, \
-             log records op {} on {}",
-            ctl.cursor,
-            entry.op,
-            entry.key
-        );
-        ctl.cursor += 1;
-        let out = entry
-            .result
-            .downcast_ref::<R>()
-            .expect("nondeterministic process body: replayed result type changed")
-            .clone();
-        return ResumeGate::Replayed(out);
-    }
-    if ctl.fresh.len() >= ctl.budget {
-        ResumeGate::Park
-    } else {
-        ResumeGate::Fresh
-    }
-}
-
 /// A checkpoint of one reachable model-world state, from which execution
 /// can be resumed one scheduling decision at a time (see the
 /// [`crate::model_world`] module docs, "snapshot resumption").
@@ -151,40 +158,20 @@ pub struct Snapshot {
     // Fields are `pub(super)` (not private) for exactly one reader/writer
     // besides this module: the byte codec in [`super::codec`], which must
     // see every field to guarantee exact roundtrips.
-    pub(super) n: usize,
-    pub(super) track: bool,
-    /// Observation histories along this path fold declared view summaries
-    /// instead of raw views (see [`super::RunConfig::view_summaries`]);
-    /// fixed at the root and inherited by every successor, so a path
-    /// never mixes the two identities.
-    pub(super) viewsum: bool,
-    pub(super) objects: HashMap<ObjKey, super::Object>,
-    pub(super) mem_fp: u64,
-    pub(super) obs_fp: Vec<u64>,
+    /// The world state at this point of the path.
+    pub(super) world: WorldState,
     pub(super) logs: Vec<Arc<Vec<LogEntry>>>,
-    pub(super) finished: Vec<bool>,
-    pub(super) crashed: Vec<bool>,
-    pub(super) results: Vec<Option<u64>>,
+    /// The footprint of the operation each alive process is parked
+    /// before (`None` once it finished or crashed).
     pub(super) pending_op: Vec<Option<Footprint>>,
-    pub(super) own_steps: Vec<u64>,
-    pub(super) op_counts: HashMap<u32, u64>,
-    pub(super) steps: u64,
-    /// This path explores TSO store-buffer semantics
-    /// ([`super::RunConfig::tso`]); fixed at the root like
-    /// [`Snapshot::viewsum`], so a path never mixes memory models.
-    pub(super) tso: bool,
-    /// Per-process FIFO store buffers (always empty when [`Snapshot::tso`]
-    /// is off). Part of the state: they enter the fingerprint, the codec,
-    /// and the terminality condition.
-    pub(super) buffers: Vec<Vec<BufferedWrite>>,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("n", &self.n)
-            .field("steps", &self.steps)
-            .field("objects", &self.objects.len())
+            .field("n", &self.n())
+            .field("steps", &self.steps())
+            .field("objects", &self.world.objects.len())
             .field("alive", &self.alive())
             .finish()
     }
@@ -193,37 +180,37 @@ impl std::fmt::Debug for Snapshot {
 impl Snapshot {
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.world.n()
     }
 
     /// Completed shared-memory steps along the path to this state.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.world.steps
     }
 
     /// Completed shared-memory steps of `pid` (the crash adversary's
     /// own-step clock).
     pub fn own_steps(&self, pid: Pid) -> u64 {
-        self.own_steps[pid]
+        self.world.own_steps[pid]
     }
 
     /// Schedulable processes, in increasing pid order — the order
     /// [`crate::sched::Schedule::Indexed`] indexes into.
     pub fn alive(&self) -> Vec<Pid> {
-        (0..self.n).filter(|&p| !self.finished[p] && !self.crashed[p]).collect()
+        self.world.alive()
     }
 
     /// `true` once every process has decided or crashed — and, under TSO,
     /// every store buffer has drained: undelivered writes still change
     /// shared memory, so a state with a non-empty buffer has futures.
     pub fn is_terminal(&self) -> bool {
-        (0..self.n).all(|p| self.finished[p] || self.crashed[p])
-            && self.buffers.iter().all(Vec::is_empty)
+        let w = &self.world;
+        (0..self.n()).all(|p| w.finished[p] || w.crashed[p]) && w.buffers.iter().all(Vec::is_empty)
     }
 
     /// Whether this path explores TSO store-buffer semantics.
     pub fn is_tso(&self) -> bool {
-        self.tso
+        self.world.tso
     }
 
     /// Processes with a non-empty store buffer, in increasing pid order —
@@ -231,12 +218,12 @@ impl Snapshot {
     /// Indexed by raw pid (not alive rank): buffers keep draining after
     /// their owner finishes or crashes.
     pub fn flushable(&self) -> Vec<Pid> {
-        (0..self.n).filter(|&p| !self.buffers[p].is_empty()).collect()
+        self.world.flushable()
     }
 
     /// Number of writes parked in `pid`'s store buffer.
     pub fn buffered(&self, pid: Pid) -> usize {
-        self.buffers[pid].len()
+        self.world.buffers[pid].len()
     }
 
     /// The dependency footprint of flushing the *oldest* entry of `pid`'s
@@ -244,7 +231,7 @@ impl Snapshot {
     /// analogue of [`Snapshot::pending_footprint`]. Only the head is a
     /// schedulable action: flushes of one buffer are FIFO-ordered.
     pub fn flush_footprint(&self, pid: Pid) -> Option<Footprint> {
-        self.buffers[pid].first().map(BufferedWrite::flush_footprint)
+        self.world.buffers[pid].first().map(BufferedWrite::flush_footprint)
     }
 
     /// The dependency footprint of the operation alive `pid` is parked
@@ -265,7 +252,7 @@ impl Snapshot {
     ///
     /// Panics in debug builds if the snapshot was built without tracking.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_with(false)
+        self.world.fingerprint(false)
     }
 
     /// The **observation-quotiented** state fingerprint: identical to
@@ -292,7 +279,7 @@ impl Snapshot {
     ///
     /// Panics in debug builds if the snapshot was built without tracking.
     pub fn fingerprint_quotient(&self) -> u64 {
-        self.fingerprint_with(true)
+        self.world.fingerprint(true)
     }
 
     /// `true` when [`Snapshot::fingerprint_quotient`] coarsens this
@@ -300,35 +287,8 @@ impl Snapshot {
     /// terminated process has a nonempty observation history the
     /// quotient drops. Cheap `O(n)` flag check — no fingerprint fold.
     pub fn quotient_coarsens(&self) -> bool {
-        (0..self.n).any(|p| (self.finished[p] || self.crashed[p]) && self.obs_fp[p] != 0)
-    }
-
-    fn fingerprint_with(&self, quotient_obs: bool) -> u64 {
-        debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
-        // The quotient folds the path's total step count in place of the
-        // terminated processes' histories: the `max_steps` timeout reads
-        // the total, never a terminated process's share of it.
-        let mem = if quotient_obs { mix(self.mem_fp, self.steps) } else { self.mem_fp };
-        fold_state_fp(
-            mem,
-            (0..self.n).map(|p| {
-                let terminated = self.finished[p] || self.crashed[p];
-                (
-                    if quotient_obs && terminated { 0 } else { self.obs_fp[p] },
-                    // Resume crashes are always adversary crashes, so the
-                    // crashed bit fills both flag positions the gated
-                    // fingerprint reserves for crashed/adversary_crash.
-                    flags_with_buffer(
-                        u64::from(self.finished[p])
-                            | u64::from(self.crashed[p]) << 1
-                            | u64::from(self.crashed[p]) << 2
-                            | u64::from(self.results[p].is_some()) << 3,
-                        &self.buffers[p],
-                    ),
-                    self.results[p].unwrap_or(0),
-                )
-            }),
-        )
+        let w = &self.world;
+        (0..self.n()).any(|p| (w.finished[p] || w.crashed[p]) && w.obs_fp[p] != 0)
     }
 
     /// The **pid-symmetry-canonical** state fingerprint: the identity of
@@ -364,7 +324,7 @@ impl Snapshot {
     ///
     /// The description folds the **operation log itself** (op tag, key,
     /// relabeled result fingerprint per entry — the exact words
-    /// `State::observe` folds) rather than the precomputed `obs_fp`,
+    /// `WorldState::observe` folds) rather than the precomputed `obs_fp`,
     /// which already hashed the unrelabeled results. Pending footprints
     /// and per-process step counts are deliberately **not** folded:
     /// bodies are deterministic, so both are functions of the log. Under
@@ -393,14 +353,15 @@ impl Snapshot {
     /// Panics in debug builds if the snapshot was built without
     /// tracking.
     pub fn fingerprint_symmetric(&self, quotient_obs: bool, spec: &super::Symmetry) -> (u64, bool) {
-        debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
+        let w = &self.world;
+        debug_assert!(w.track, "fingerprints require tracking (snapshot_root track=true)");
         debug_assert!(
-            !self.tso,
+            !w.tso,
             "the symmetry quotient is gated off under TSO (store-buffer contents are \
              per-process state the erasure does not canonicalize) — the explorer must not \
              request canonical fingerprints on a TSO path"
         );
-        let n = self.n;
+        let n = self.n();
         let zeros = vec![0; n];
         // Erased view of each process's own pid-indexed snapshot cells,
         // folded in deterministic key order. Without it, states whose
@@ -409,10 +370,10 @@ impl Snapshot {
         // would sort entirely by the pid tie-break, and π-related
         // states could canonicalize inconsistently.
         let mut own_cells = vec![0u64; n];
-        let mut keys: Vec<&crate::world::ObjKey> = self.objects.keys().collect();
+        let mut keys: Vec<&crate::world::ObjKey> = w.objects.keys().collect();
         keys.sort_unstable();
         for key in keys {
-            if let super::Object::Snapshot(cells) = &self.objects[key] {
+            if let super::Object::Snapshot(cells) = &w.objects[key] {
                 if cells.len() == n {
                     let mut kh = Fnv1a::default();
                     kh.write_u64(u64::from(key.kind));
@@ -443,7 +404,7 @@ impl Snapshot {
             nontrivial |= rank != p;
         }
         let mut mem = 0u64;
-        for (key, obj) in &self.objects {
+        for (key, obj) in &w.objects {
             let mut h = Fnv1a::default();
             h.write_u64(u64::from(key.kind));
             h.write_u64(key.a);
@@ -452,7 +413,7 @@ impl Snapshot {
             mem ^= h.finish();
         }
         if quotient_obs {
-            mem = mix(mem, self.steps);
+            mem = mix(mem, w.steps);
         }
         let fp = fold_state_fp(
             mem,
@@ -475,7 +436,8 @@ impl Snapshot {
         perm: &[Pid],
         spec: &super::Symmetry,
     ) -> [u64; 3] {
-        let terminated = self.finished[p] || self.crashed[p];
+        let w = &self.world;
+        let terminated = w.finished[p] || w.crashed[p];
         let obs = if quotient_obs && terminated {
             0
         } else {
@@ -499,12 +461,8 @@ impl Snapshot {
             }
             acc
         };
-        let flags = u64::from(self.finished[p])
-            | u64::from(self.crashed[p]) << 1
-            | u64::from(self.crashed[p]) << 2
-            | u64::from(self.results[p].is_some()) << 3;
-        let result = (spec.relabel_result)(self.results[p].unwrap_or(0), perm);
-        [obs, flags, result]
+        let result = (spec.relabel_result)(w.results[p].unwrap_or(0), perm);
+        [obs, w.flags(p), result]
     }
 
     /// [`super::Object`] content fingerprint under the pid map: the same
@@ -534,7 +492,7 @@ impl Snapshot {
             }
             super::Object::Snapshot(cells) => {
                 h.write_u64(2);
-                if cells.len() == self.n {
+                if cells.len() == self.n() {
                     for &p in order {
                         h.write_u64(cell_fp(&cells[p]));
                     }
@@ -558,38 +516,17 @@ impl Snapshot {
         h.finish()
     }
 
-    /// Synthesizes the [`RunReport`] of the path that reached this state,
-    /// equivalent to what a gated [`ModelWorld::run`] over the same
-    /// schedule prefix reports (no trace/branching/hash/decision records —
-    /// those are opt-in path recordings, not state).
+    /// The [`RunReport`] of the path that reached this state — built from
+    /// the same record, by the same function, as a gated
+    /// [`ModelWorld::run`] over the same schedule prefix (without its
+    /// opt-in trace and state-hash recordings, which are path records,
+    /// not state).
     ///
     /// `timed_out` marks a run cut by the step budget (alive processes
-    /// report [`Outcome::Undecided`], as in the gated world's timeout
-    /// sweep).
+    /// report [`super::Outcome::Undecided`], as in the gated world's
+    /// timeout sweep).
     pub fn report(&self, timed_out: bool) -> RunReport {
-        let outcomes = (0..self.n)
-            .map(|p| {
-                if let Some(v) = self.results[p] {
-                    Outcome::Decided(v)
-                } else if self.crashed[p] {
-                    Outcome::Crashed
-                } else {
-                    Outcome::Undecided
-                }
-            })
-            .collect();
-        let mut ops_by_kind: Vec<(u32, u64)> =
-            self.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        ops_by_kind.sort_unstable();
-        RunReport {
-            outcomes,
-            steps: self.steps,
-            timed_out,
-            trace: None,
-            branching: None,
-            state_hashes: None,
-            ops_by_kind,
-        }
+        self.world.report(timed_out)
     }
 }
 
@@ -601,51 +538,30 @@ enum Resumed {
 }
 
 impl ModelWorld {
-    /// Builds a resume-mode world loaded with `snap`'s state.
-    fn from_snapshot(snap: &Snapshot, ctl: ResumeCtl) -> ModelWorld {
-        let n = snap.n;
-        let st = State {
-            permits: vec![Permit::Idle; n],
-            op_done: false,
-            waiting: vec![false; n],
-            finished: snap.finished.clone(),
-            crashed: snap.crashed.clone(),
-            adversary_crash: snap.crashed.clone(),
-            results: snap.results.clone(),
-            failures: Vec::new(),
-            objects: snap.objects.clone(),
-            op_counts: snap.op_counts.clone(),
-            own_steps: snap.own_steps.clone(),
-            trace: Vec::new(),
-            obs_fp: snap.obs_fp.clone(),
-            mem_fp: snap.mem_fp,
-            track: snap.track,
-            viewsum: snap.viewsum,
-            free: false,
-            resume: Some(ctl),
-            tso: snap.tso,
-            buffers: snap.buffers.clone(),
-        };
-        ModelWorld {
-            inner: Arc::new(Inner {
-                st: Mutex::new(st),
-                proc_cvs: Vec::new(),
-                sched_cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Runs `body` as process `pid` against this resume-mode world until
-    /// it parks ([`StopSignal`]) or returns.
-    fn drive_resumed(&self, pid: Pid, body: Body) -> Resumed {
-        let env = Env::new(self.clone(), pid);
-        match catch_unwind(AssertUnwindSafe(move || body(env))) {
+    /// Moves `world` into a resume-mode world driving `ctl`'s process,
+    /// runs `body` as that process until it parks ([`StopSignal`]) or
+    /// returns, and moves the record and the control state back out.
+    fn drive_resumed(
+        world: WorldState,
+        ctl: ResumeCtl,
+        body: Body,
+    ) -> (WorldState, ResumeCtl, Resumed) {
+        let pid = ctl.pid;
+        let resumed = ModelWorld::with_state(world, Mode::Resume(ctl));
+        let env = Env::new(resumed.clone(), pid);
+        let outcome = match catch_unwind(AssertUnwindSafe(move || body(env))) {
             Ok(v) => Resumed::Finished(v),
             Err(payload) if payload.downcast_ref::<StopSignal>().is_some() => Resumed::Parked,
             Err(payload) => {
                 panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref()))
             }
-        }
+        };
+        let mut st = resumed.inner.st.lock();
+        let world = std::mem::take(&mut st.world);
+        let Mode::Resume(ctl) = std::mem::replace(&mut st.mode, Mode::Free) else {
+            unreachable!("a resumed world stays in resume mode");
+        };
+        (world, ctl, outcome)
     }
 
     /// The initial [`Snapshot`] of a run of `bodies`: every process is
@@ -677,49 +593,21 @@ impl ModelWorld {
     ) -> Snapshot {
         assert_eq!(bodies.len(), n, "one body per process required");
         install_crash_hook();
-        let mut snap = Snapshot {
-            n,
-            track,
-            viewsum,
-            objects: HashMap::new(),
-            mem_fp: 0,
-            obs_fp: vec![0; n],
-            logs: (0..n).map(|_| Arc::new(Vec::new())).collect(),
-            finished: vec![false; n],
-            crashed: vec![false; n],
-            results: vec![None; n],
-            pending_op: vec![None; n],
-            own_steps: vec![0; n],
-            op_counts: HashMap::new(),
-            steps: 0,
-            tso,
-            buffers: vec![Vec::new(); n],
-        };
+        let mut world = WorldState::new(n, track, viewsum, tso);
+        let mut pending_op = vec![None; n];
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
-            // without touching shared state, recording the op's purity.
-            let ctl = ResumeCtl {
-                pid,
-                log: Arc::new(Vec::new()),
-                cursor: 0,
-                budget: 0,
-                fresh: Vec::new(),
-                next_op: None,
-            };
-            let world = ModelWorld::from_snapshot(&snap, ctl);
-            match world.drive_resumed(pid, body) {
-                Resumed::Finished(v) => {
-                    snap.finished[pid] = true;
-                    snap.results[pid] = Some(v);
-                }
-                Resumed::Parked => {
-                    let st = world.inner.st.lock();
-                    let ctl = st.resume.as_ref().expect("resume mode");
-                    snap.pending_op[pid] = Some(ctl.next_op.expect("parked at a gate"));
-                }
+            // without touching shared state, recording the op's footprint.
+            let ctl = ResumeCtl::new(pid, Arc::new(Vec::new()), 0);
+            let (probed, ctl, resumed) = ModelWorld::drive_resumed(world, ctl, body);
+            world = probed;
+            match resumed {
+                Resumed::Finished(v) => world.finish(pid, v),
+                Resumed::Parked => pending_op[pid] = Some(ctl.next_op.expect("parked at a gate")),
             }
         }
-        snap
+        let logs = (0..n).map(|_| Arc::new(Vec::new())).collect();
+        Snapshot { world, logs, pending_op }
     }
 
     /// Executes one scheduling decision from `snap`: grants alive process
@@ -734,26 +622,15 @@ impl ModelWorld {
     /// by the model).
     pub fn resume_from(snap: &Snapshot, pid: Pid, body: Body) -> Snapshot {
         assert!(
-            pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
+            pid < snap.n() && !snap.world.finished[pid] && !snap.world.crashed[pid],
             "resume_from requires an alive process (pid {pid})"
         );
         install_crash_hook();
-        let ctl = ResumeCtl {
-            pid,
-            log: Arc::clone(&snap.logs[pid]),
-            cursor: 0,
-            budget: 1,
-            fresh: Vec::new(),
-            next_op: None,
-        };
-        let world = ModelWorld::from_snapshot(snap, ctl);
-        let resumed = world.drive_resumed(pid, body);
-        let mut st = world.inner.st.lock();
+        let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 1);
+        let (mut world, ctl, resumed) = ModelWorld::drive_resumed(snap.world.clone(), ctl, body);
         if let Resumed::Finished(v) = resumed {
-            st.finished[pid] = true;
-            st.results[pid] = Some(v);
+            world.finish(pid, v);
         }
-        let ctl = st.resume.take().expect("resume mode");
         assert_eq!(
             ctl.cursor,
             ctl.log.len(),
@@ -772,29 +649,12 @@ impl ModelWorld {
         full.extend(ctl.fresh);
         logs[pid] = Arc::new(full);
         let mut pending_op = snap.pending_op.clone();
-        pending_op[pid] = if st.finished[pid] {
+        pending_op[pid] = if world.finished[pid] {
             None
         } else {
             Some(ctl.next_op.expect("a live body parks at its next gate"))
         };
-        Snapshot {
-            n: snap.n,
-            track: snap.track,
-            viewsum: snap.viewsum,
-            objects: std::mem::take(&mut st.objects),
-            mem_fp: st.mem_fp,
-            obs_fp: std::mem::take(&mut st.obs_fp),
-            logs,
-            finished: std::mem::take(&mut st.finished),
-            crashed: std::mem::take(&mut st.crashed),
-            results: std::mem::take(&mut st.results),
-            pending_op,
-            own_steps: std::mem::take(&mut st.own_steps),
-            op_counts: std::mem::take(&mut st.op_counts),
-            steps: snap.steps + 1,
-            tso: snap.tso,
-            buffers: std::mem::take(&mut st.buffers),
-        }
+        Snapshot { world, logs, pending_op }
     }
 
     /// Delivers an adversary crash to alive `pid` *instead of* its next
@@ -807,11 +667,11 @@ impl ModelWorld {
     /// Panics if `pid` is not alive in `snap`.
     pub fn resume_crash(snap: &Snapshot, pid: Pid) -> Snapshot {
         assert!(
-            pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
+            pid < snap.n() && !snap.world.finished[pid] && !snap.world.crashed[pid],
             "resume_crash requires an alive process (pid {pid})"
         );
         let mut out = snap.clone();
-        out.crashed[pid] = true;
+        out.world.crashed[pid] = true;
         out.pending_op[pid] = None;
         out
     }
@@ -828,15 +688,13 @@ impl ModelWorld {
     /// Panics if the snapshot is not a TSO path or `pid`'s buffer is
     /// empty.
     pub fn resume_flush(snap: &Snapshot, pid: Pid) -> Snapshot {
-        assert!(snap.tso, "resume_flush requires a TSO path");
+        assert!(snap.is_tso(), "resume_flush requires a TSO path");
         assert!(
-            pid < snap.n && !snap.buffers[pid].is_empty(),
+            pid < snap.n() && snap.buffered(pid) > 0,
             "resume_flush requires a non-empty store buffer (pid {pid})"
         );
         let mut out = snap.clone();
-        let w = out.buffers[pid].remove(0);
-        apply_buffered_write(&mut out.objects, &mut out.mem_fp, out.track, w);
-        out.steps += 1;
+        out.world.flush_step(pid);
         out
     }
 }

@@ -737,9 +737,15 @@ proptest! {
     /// arbitrary schedule yields, pick for pick, the same state
     /// fingerprints — and finally the same outcomes, step count, and
     /// op accounting — as a gated replay-from-root of the same choice
-    /// vector. Checked in both observation modes: raw views and
+    /// vector. Checked in both observation modes (raw views and
     /// declared view summaries must each agree *between the two
-    /// engines* (their identities legitimately differ from each other).
+    /// engines*; their identities legitimately differ from each other)
+    /// and on three schedule alphabets: SC steps only; SC steps plus
+    /// the crash band of `Crashes::UpTo(1)` (the walk delivers crashes
+    /// through `resume_crash`); and TSO steps plus the flush band (the
+    /// walk flushes through `resume_flush`). Both engines share one
+    /// fingerprint function, so the walk also pins what it must see:
+    /// every crash and every flush moves the state identity.
     #[test]
     fn snapshot_resume_matches_gated_replay(
         seed in 0u64..1_000_000,
@@ -748,35 +754,63 @@ proptest! {
         ops in 1usize..4,
     ) {
         let make = move || small_program(seed, n, ops);
-        for viewsum in [false, true] {
-            let mut snap = ModelWorld::snapshot_root(n, true, viewsum, make());
-            let mut choices = Vec::new();
-            let mut resumed_hashes = Vec::new();
-            while !snap.is_terminal() {
-                let alive = snap.alive();
-                let c = (fp_of(&(pick_seed, choices.len())) as usize) % alive.len();
-                let pid = alive[c];
-                choices.push(c);
-                let body = make().into_iter().nth(pid).expect("pid in range");
-                snap = ModelWorld::resume_from(&snap, pid, body);
-                resumed_hashes.push(snap.fingerprint());
+        for (crash_budget, tso) in [(0, false), (1, false), (0, true)] {
+            for viewsum in [false, true] {
+                let mut snap = ModelWorld::snapshot_root_tso(n, true, viewsum, tso, make());
+                let mut crashes_left = crash_budget;
+                let mut choices = Vec::new();
+                let mut resumed_hashes = Vec::new();
+                let case = format!("crash budget {crash_budget}, tso {tso}, viewsum {viewsum}");
+                while !snap.is_terminal() {
+                    // The `Schedule::Indexed` alphabet: op band `0..a`,
+                    // crash band `a..2a` while the budget lasts, flush
+                    // band `2a + pid` per non-empty store buffer.
+                    let alive = snap.alive();
+                    let a = alive.len();
+                    let mut alphabet: Vec<usize> = (0..a).collect();
+                    if crashes_left > 0 {
+                        alphabet.extend(a..2 * a);
+                    }
+                    alphabet.extend(snap.flushable().into_iter().map(|p| 2 * a + p));
+                    let c = alphabet[(fp_of(&(pick_seed, choices.len())) as usize) % alphabet.len()];
+                    let before = snap.fingerprint();
+                    snap = if c < a {
+                        let body = make().into_iter().nth(alive[c]).expect("pid in range");
+                        ModelWorld::resume_from(&snap, alive[c], body)
+                    } else if c < 2 * a {
+                        crashes_left -= 1;
+                        ModelWorld::resume_crash(&snap, alive[c - a])
+                    } else {
+                        ModelWorld::resume_flush(&snap, c - 2 * a)
+                    };
+                    choices.push(c);
+                    resumed_hashes.push(snap.fingerprint());
+                    prop_assert!(
+                        c < a || snap.fingerprint() != before,
+                        "choice {} left the state identity unchanged ({})",
+                        c,
+                        case
+                    );
+                }
+                let crashes = if crash_budget > 0 { Crashes::UpTo(crash_budget) } else { Crashes::None };
+                let gated = ModelWorld::run(
+                    RunConfig::replay(n, crashes, 10_000, &choices)
+                        .record_state_hashes(true)
+                        .view_summaries(viewsum)
+                        .tso(tso),
+                    make(),
+                );
+                let report = snap.report(false);
+                prop_assert_eq!(report.outcomes, gated.outcomes, "{}", case);
+                prop_assert_eq!(report.steps, gated.steps, "{}", case);
+                prop_assert_eq!(report.ops_by_kind, gated.ops_by_kind, "{}", case);
+                prop_assert_eq!(
+                    resumed_hashes,
+                    gated.state_hashes.expect("requested"),
+                    "engines disagree on state identity ({})",
+                    case
+                );
             }
-            let gated = ModelWorld::run(
-                RunConfig::replay(n, Crashes::None, 10_000, &choices)
-                    .record_state_hashes(true)
-                    .view_summaries(viewsum),
-                make(),
-            );
-            let report = snap.report(false);
-            prop_assert_eq!(report.outcomes, gated.outcomes);
-            prop_assert_eq!(report.steps, gated.steps);
-            prop_assert_eq!(report.ops_by_kind, gated.ops_by_kind);
-            prop_assert_eq!(
-                resumed_hashes,
-                gated.state_hashes.expect("requested"),
-                "engines disagree on state identity (viewsum {})",
-                viewsum
-            );
         }
     }
 
