@@ -6,7 +6,7 @@
 //! these programs; the bench's deterministic state-count lines are what
 //! the CI determinism gate diffs and what ROADMAP.md records as
 //! baselines. Keeping one definition guarantees the test-side sweeps and
-//! the gated bench can never drift apart.
+//! the bench can never drift apart.
 //!
 //! Bodies are **bounded** (propose plus a fixed number of polls — no
 //! busy-wait), as the exhaustive explorer requires, and encode their last
@@ -27,8 +27,7 @@
 //! byte-identical fig5/fig6 lines, while the fig1 lines change (the CI
 //! verdict gate compares only the `complete=`/`violations=` fields).
 
-use mpcn_runtime::model_world::{Body, ModelWorld, RunReport, Symmetry};
-use mpcn_runtime::Env;
+use mpcn_runtime::model_world::{body, Body, RunReport, Symmetry};
 
 use crate::safe::SafeAgreement;
 use crate::xcompete::x_compete;
@@ -42,15 +41,15 @@ pub const KIND_BASE: u32 = 700;
 pub fn fig1_bodies(n: usize, polls: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let sa = SafeAgreement::new(KIND_BASE, 0, n);
-                sa.propose(&env, 100 + i as u64);
+                sa.sa_propose(&env, 100 + i as u64).await;
                 let mut last = None;
                 for _ in 0..polls {
-                    last = sa.try_decide::<u64, _>(&env);
+                    last = sa.sa_try_decide::<u64, _>(&env).await;
                 }
                 last.map_or(0, |v| v + 1)
-            }) as Body
+            })
         })
         .collect()
 }
@@ -88,8 +87,7 @@ pub const FIG1_SYMMETRY: Symmetry = Symmetry {
 pub fn fig5_bodies(n: usize, x: u32) -> Vec<Body> {
     (0..n)
         .map(|_| {
-            Box::new(move |env: Env<ModelWorld>| u64::from(x_compete(&env, KIND_BASE + 10, 0, x)))
-                as Body
+            body(move |env| async move { u64::from(x_compete(&env, KIND_BASE + 10, 0, x).await) })
         })
         .collect()
 }
@@ -99,15 +97,15 @@ pub fn fig5_bodies(n: usize, x: u32) -> Vec<Body> {
 pub fn fig6_bodies(n: usize, x: u32, polls: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let ag = XSafeAgreement::new(KIND_BASE + 20, 0, n, x);
-                ag.propose(&env, 100 + i as u64);
+                ag.propose(&env, 100 + i as u64).await;
                 let mut last = None;
                 for _ in 0..polls {
-                    last = ag.try_decide::<u64, _>(&env);
+                    last = ag.try_decide::<u64, _>(&env).await;
                 }
                 last.map_or(0, |v| v + 1)
-            }) as Body
+            })
         })
         .collect()
 }
@@ -150,7 +148,7 @@ pub fn check_winners(report: &RunReport, n: usize, x: u32) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::model_world::RunConfig;
+    use mpcn_runtime::model_world::{ModelWorld, RunConfig};
     use mpcn_runtime::sched::Schedule;
 
     #[test]

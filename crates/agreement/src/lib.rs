@@ -31,16 +31,16 @@
 //!
 //! ```
 //! use mpcn_agreement::{Agreement, AgreementKind};
-//! use mpcn_runtime::{Env, ModelWorld};
+//! use mpcn_runtime::{block_on, Env, ModelWorld};
 //!
 //! let world = ModelWorld::new_free(3);
 //! let envs: Vec<Env<ModelWorld>> =
 //!     (0..3).map(|p| Env::new(world.clone(), p)).collect();
 //! let ag = Agreement::new(AgreementKind::Safe, 500, 7, 3);
 //!
-//! ag.propose(&envs[1], 41u64);
-//! ag.propose(&envs[2], 42u64);
-//! assert_eq!(ag.try_decide::<u64, _>(&envs[0]), Some(41));
+//! block_on(ag.propose(&envs[1], 41u64));
+//! block_on(ag.propose(&envs[2], 42u64));
+//! assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[0])), Some(41));
 //! ```
 
 pub mod fixtures;
@@ -122,26 +122,28 @@ impl Agreement {
     /// is exactly what may block the instance (1 crash suffices for
     /// [`AgreementKind::Safe`]; all `x` owners must crash for
     /// [`AgreementKind::XSafe`]).
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub async fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
         match self.kind {
             AgreementKind::Safe => {
-                safe::SafeAgreement::new(self.kind_base, self.inst, self.n).propose(env, v)
+                safe::SafeAgreement::new(self.kind_base, self.inst, self.n).sa_propose(env, v).await
             }
             AgreementKind::XSafe { x } => {
-                xsafe::XSafeAgreement::new(self.kind_base, self.inst, self.n, x).propose(env, v)
+                let ag = xsafe::XSafeAgreement::new(self.kind_base, self.inst, self.n, x);
+                ag.propose(env, v).await
             }
         }
     }
 
     /// Returns the decided value if the instance has stabilized, `None`
     /// otherwise (one shared-memory step).
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+    pub async fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
         match self.kind {
             AgreementKind::Safe => {
-                safe::SafeAgreement::new(self.kind_base, self.inst, self.n).try_decide(env)
+                safe::SafeAgreement::new(self.kind_base, self.inst, self.n).sa_try_decide(env).await
             }
             AgreementKind::XSafe { x } => {
-                xsafe::XSafeAgreement::new(self.kind_base, self.inst, self.n, x).try_decide(env)
+                let ag = xsafe::XSafeAgreement::new(self.kind_base, self.inst, self.n, x);
+                ag.try_decide(env).await
             }
         }
     }
@@ -150,9 +152,9 @@ impl Agreement {
     ///
     /// May spin forever if the instance is blocked by crashes; model-world
     /// runs bound this with their step budget.
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub async fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
         loop {
-            if let Some(v) = self.try_decide(env) {
+            if let Some(v) = self.try_decide(env).await {
                 return v;
             }
         }
@@ -168,7 +170,7 @@ pub const fn pack_inst(a: u32, b: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::ModelWorld;
+    use mpcn_runtime::{block_on, ModelWorld};
 
     #[test]
     fn kind_for_x() {
@@ -194,10 +196,10 @@ mod tests {
         let world = ModelWorld::new_free(4);
         let envs: Vec<Env<ModelWorld>> = (0..4).map(|p| Env::new(world.clone(), p)).collect();
         let ag = Agreement::new(AgreementKind::XSafe { x: 2 }, 600, 1, 4);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[3]), None);
-        ag.propose(&envs[0], 10u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[3]), Some(10));
-        ag.propose(&envs[1], 11u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[1]), Some(10));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[3])), None);
+        block_on(ag.propose(&envs[0], 10u64));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[3])), Some(10));
+        block_on(ag.propose(&envs[1], 11u64));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[1])), Some(10));
     }
 }

@@ -14,7 +14,7 @@
 //! `decide` waits until no entry is unstable, then returns the stable value
 //! of the smallest-index process.
 
-use mpcn_runtime::world::{Env, MemVal, ObjKey, World};
+use mpcn_runtime::world::{block_on, Env, MemVal, ObjKey, World};
 
 /// Levels of a proposal in `SM`.
 const MEANINGLESS: u8 = 0;
@@ -52,18 +52,20 @@ impl SafeAgreement {
     /// only `saw_stable`, so that one bit is all the scan returns — which
     /// licenses the exhaustive explorer to fold the bit, not the `O(n)`
     /// view, into this process's mid-flight state identity.
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub async fn sa_propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
         let i = env.pid();
         let key = self.sm_key();
         // (01) SM[i] ← (v, 1)
-        env.snap_write(key, self.n, i, (v.clone(), UNSTABLE));
+        env.snap_write(key, self.n, i, (v.clone(), UNSTABLE)).await;
         // (02+03a) sm ← SM.snapshot(), summarized to ∃x: sm[x].level = 2
-        let saw_stable = env.snap_scan_via::<(T, u8), bool>(key, self.n, |sm| {
-            sm.iter().flatten().any(|(_, lvl)| *lvl == STABLE)
-        });
+        let saw_stable = env
+            .snap_scan_via::<(T, u8), bool>(key, self.n, |sm| {
+                sm.iter().flatten().any(|(_, lvl)| *lvl == STABLE)
+            })
+            .await;
         // (03b) if saw_stable then SM[i] ← (v, 0) else SM[i] ← (v, 2)
         let level = if saw_stable { MEANINGLESS } else { STABLE };
-        env.snap_write(key, self.n, i, (v, level));
+        env.snap_write(key, self.n, i, (v, level)).await;
     }
 
     /// One polling iteration of `sa_decide` — Figure 1 lines 04–06.
@@ -72,8 +74,8 @@ impl SafeAgreement {
     /// stable value exists yet; otherwise the stable value of the
     /// smallest-index process. The scan is summarized to exactly that
     /// `Option` — the poll's entire observable effect — under the same
-    /// declared-view-summary contract as [`SafeAgreement::propose`].
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+    /// declared-view-summary contract as [`SafeAgreement::sa_propose`].
+    pub async fn sa_try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
         env.snap_scan_via::<(T, u8), Option<T>>(self.sm_key(), self.n, |sm| {
             // (04) repeat until ∀x: sm[x].level ≠ 1
             if sm.iter().flatten().any(|(_, lvl)| *lvl == UNSTABLE) {
@@ -82,27 +84,41 @@ impl SafeAgreement {
             // (05) res ← value of min { k | sm[k].level = 2 }
             sm.iter().flatten().find(|(_, lvl)| *lvl == STABLE).map(|(v, _)| v.clone())
         })
+        .await
     }
 
-    /// Blocking `sa_decide` (spins on [`Self::try_decide`]).
+    /// Blocking `sa_decide` (spins on [`Self::sa_try_decide`]).
     ///
     /// Spins forever if a proposer crashed mid-`propose`; in model-world
     /// runs the step budget bounds this.
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub async fn sa_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
         loop {
-            if let Some(v) = self.try_decide(env) {
+            if let Some(v) = self.sa_try_decide(env).await {
                 return v;
             }
         }
+    }
+
+    /// [`Self::sa_propose`] driven to completion on the calling thread,
+    /// for worlds whose operations never park (real threads on a
+    /// `ThreadWorld`, or a free `ModelWorld`).
+    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+        block_on(self.sa_propose(env, v))
+    }
+
+    /// [`Self::sa_try_decide`] driven to completion on the calling thread;
+    /// see [`Self::propose`].
+    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+        block_on(self.sa_try_decide(env))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+    use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
     use mpcn_runtime::sched::{Crashes, Schedule};
-    use mpcn_runtime::Env;
+    use mpcn_runtime::{block_on, Env};
 
     const BASE: u32 = 500;
 
@@ -116,13 +132,13 @@ mod tests {
     fn first_stable_proposal_wins_sequentially() {
         let (_w, e) = envs(3);
         let sa = SafeAgreement::new(BASE, 0, 3);
-        assert_eq!(sa.try_decide::<u64, _>(&e[0]), None, "nothing proposed yet");
-        sa.propose(&e[2], 22u64);
-        sa.propose(&e[0], 7u64);
-        sa.propose(&e[1], 11u64);
+        assert_eq!(block_on(sa.sa_try_decide::<u64, _>(&e[0])), None, "nothing proposed yet");
+        block_on(sa.sa_propose(&e[2], 22u64));
+        block_on(sa.sa_propose(&e[0], 7u64));
+        block_on(sa.sa_propose(&e[1], 11u64));
         // p2's proposal stabilized first; later proposals are meaningless.
         for env in &e {
-            assert_eq!(sa.try_decide::<u64, _>(env), Some(22));
+            assert_eq!(block_on(sa.sa_try_decide::<u64, _>(env)), Some(22));
         }
     }
 
@@ -141,11 +157,11 @@ mod tests {
             .record_trace(true);
         let bodies: Vec<Body> = (0..2)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let sa = SafeAgreement::new(BASE, 0, 2);
-                    sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
-                }) as Body
+                    sa.sa_propose(&env, 100 + i as u64).await;
+                    sa.sa_decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let report = ModelWorld::run(cfg, bodies);
@@ -159,11 +175,11 @@ mod tests {
             let cfg = RunConfig::new(4).schedule(Schedule::RandomSeed(seed));
             let bodies: Vec<Body> = (0..4)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
+                    body(move |env| async move {
                         let sa = SafeAgreement::new(BASE, 0, 4);
-                        sa.propose(&env, 100 + i as u64);
-                        sa.decide::<u64, _>(&env)
-                    }) as Body
+                        sa.sa_propose(&env, 100 + i as u64).await;
+                        sa.sa_decide::<u64, _>(&env).await
+                    })
                 })
                 .collect();
             let report = ModelWorld::run(cfg, bodies);
@@ -184,11 +200,11 @@ mod tests {
                 .crashes(Crashes::AtOwnStep(vec![(0, 3)]));
             let bodies: Vec<Body> = (0..3)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
+                    body(move |env| async move {
                         let sa = SafeAgreement::new(BASE, 0, 3);
-                        sa.propose(&env, 100 + i as u64);
-                        sa.decide::<u64, _>(&env)
-                    }) as Body
+                        sa.sa_propose(&env, 100 + i as u64).await;
+                        sa.sa_decide::<u64, _>(&env).await
+                    })
                 })
                 .collect();
             let report = ModelWorld::run(cfg, bodies);
@@ -209,11 +225,11 @@ mod tests {
             .max_steps(10_000);
         let bodies: Vec<Body> = (0..3)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let sa = SafeAgreement::new(BASE, 0, 3);
-                    sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
-                }) as Body
+                    sa.sa_propose(&env, 100 + i as u64).await;
+                    sa.sa_decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let report = ModelWorld::run(cfg, bodies);
@@ -226,12 +242,12 @@ mod tests {
     fn decided_value_is_stable_forever() {
         let (_w, e) = envs(3);
         let sa = SafeAgreement::new(BASE, 9, 3);
-        sa.propose(&e[1], 5u64);
-        let first: u64 = sa.try_decide(&e[0]).unwrap();
-        sa.propose(&e[0], 6u64);
-        sa.propose(&e[2], 7u64);
+        block_on(sa.sa_propose(&e[1], 5u64));
+        let first: u64 = block_on(sa.sa_try_decide(&e[0])).unwrap();
+        block_on(sa.sa_propose(&e[0], 6u64));
+        block_on(sa.sa_propose(&e[2], 7u64));
         for _ in 0..5 {
-            assert_eq!(sa.try_decide::<u64, _>(&e[2]), Some(first));
+            assert_eq!(block_on(sa.sa_try_decide::<u64, _>(&e[2])), Some(first));
         }
     }
 
@@ -240,9 +256,9 @@ mod tests {
         let (_w, e) = envs(2);
         let a = SafeAgreement::new(BASE, 1, 2);
         let b = SafeAgreement::new(BASE, 2, 2);
-        a.propose(&e[0], 1u64);
-        b.propose(&e[1], 2u64);
-        assert_eq!(a.try_decide::<u64, _>(&e[1]), Some(1));
-        assert_eq!(b.try_decide::<u64, _>(&e[0]), Some(2));
+        block_on(a.sa_propose(&e[0], 1u64));
+        block_on(b.sa_propose(&e[1], 2u64));
+        assert_eq!(block_on(a.sa_try_decide::<u64, _>(&e[1])), Some(1));
+        assert_eq!(block_on(b.sa_try_decide::<u64, _>(&e[0])), Some(2));
     }
 }

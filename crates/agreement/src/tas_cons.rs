@@ -27,17 +27,17 @@ use mpcn_runtime::world::{Env, ObjKey, Pid, World};
 ///
 /// Panics (via the world's port check) if the caller is not in `ports` or
 /// if different calls pass different port sets.
-pub fn tas_via_consensus<W: World>(env: &Env<W>, key: ObjKey, ports: &[Pid]) -> bool {
+pub async fn tas_via_consensus<W: World>(env: &Env<W>, key: ObjKey, ports: &[Pid]) -> bool {
     let me = env.pid() as u64;
-    env.xcons_propose(key, ports, me) == me
+    env.xcons_propose(key, ports, me).await == me
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+    use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
     use mpcn_runtime::sched::Schedule;
-    use mpcn_runtime::Env;
+    use mpcn_runtime::{block_on, Env};
 
     const KEY: ObjKey = ObjKey::new(650, 0, 0);
 
@@ -46,14 +46,15 @@ mod tests {
         for seed in 0..50 {
             let ports: Vec<Pid> = (0..3).collect();
             let cfg = RunConfig::new(3).schedule(Schedule::RandomSeed(seed));
-            let bodies: Vec<Body> = (0..3)
-                .map(|_| {
-                    let ports = ports.clone();
-                    Box::new(move |env: Env<ModelWorld>| {
-                        u64::from(tas_via_consensus(&env, KEY, &ports))
-                    }) as Body
-                })
-                .collect();
+            let bodies: Vec<Body> =
+                (0..3)
+                    .map(|_| {
+                        let ports = ports.clone();
+                        body(move |env| async move {
+                            u64::from(tas_via_consensus(&env, KEY, &ports).await)
+                        })
+                    })
+                    .collect();
             let report = ModelWorld::run(cfg, bodies);
             assert_eq!(report.decided_values().iter().sum::<u64>(), 1, "seed {seed}");
         }
@@ -63,7 +64,7 @@ mod tests {
     fn sole_invoker_wins() {
         let w = ModelWorld::new_free(4);
         let env = Env::new(w, 2);
-        assert!(tas_via_consensus(&env, KEY, &[1, 2, 3]));
+        assert!(block_on(tas_via_consensus(&env, KEY, &[1, 2, 3])));
     }
 
     #[test]
@@ -72,7 +73,7 @@ mod tests {
         let ports: Vec<Pid> = vec![0, 1];
         let e0 = Env::new(w.clone(), 0);
         let e1 = Env::new(w.clone(), 1);
-        assert!(tas_via_consensus(&e0, KEY, &ports));
-        assert!(!tas_via_consensus(&e1, KEY, &ports));
+        assert!(block_on(tas_via_consensus(&e0, KEY, &ports)));
+        assert!(!block_on(tas_via_consensus(&e1, KEY, &ports)));
     }
 }

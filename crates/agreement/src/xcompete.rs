@@ -29,11 +29,11 @@ use mpcn_runtime::world::{Env, ObjKey, World};
 /// * at most `x` invocations return `true`;
 /// * if at most `x` processes ever invoke it, every invoker that does not
 ///   crash obtains `true`.
-pub fn x_compete<W: World>(env: &Env<W>, kind: u32, inst: u64, x: u32) -> bool {
+pub async fn x_compete<W: World>(env: &Env<W>, kind: u32, inst: u64, x: u32) -> bool {
     // (01) ℓ ← 1; winner ← false
     // (02) while (ℓ ≤ x ∧ ¬winner) do (03) winner ← TS[ℓ].test&set() ...
     for l in 0..x as u64 {
-        if env.tas(ObjKey::new(kind, inst, l)) {
+        if env.tas(ObjKey::new(kind, inst, l)).await {
             return true;
         }
     }
@@ -43,17 +43,15 @@ pub fn x_compete<W: World>(env: &Env<W>, kind: u32, inst: u64, x: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+    use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
     use mpcn_runtime::sched::{Crashes, Schedule};
-    use mpcn_runtime::Env;
+    use mpcn_runtime::{block_on, Env};
 
     const KIND: u32 = 550;
 
     fn compete_bodies(n: usize, x: u32) -> Vec<Body> {
         (0..n)
-            .map(|_| {
-                Box::new(move |env: Env<ModelWorld>| u64::from(x_compete(&env, KIND, 0, x))) as Body
-            })
+            .map(|_| body(move |env| async move { u64::from(x_compete(&env, KIND, 0, x).await) }))
             .collect()
     }
 
@@ -101,17 +99,17 @@ mod tests {
         let w = ModelWorld::new_free(5);
         let envs: Vec<Env<ModelWorld>> = (0..5).map(|p| Env::new(w.clone(), p)).collect();
         let x = 2;
-        assert!(x_compete(&envs[0], KIND, 7, x));
-        assert!(x_compete(&envs[1], KIND, 7, x));
-        assert!(!x_compete(&envs[2], KIND, 7, x), "array exhausted");
-        assert!(!x_compete(&envs[3], KIND, 7, x));
+        assert!(block_on(x_compete(&envs[0], KIND, 7, x)));
+        assert!(block_on(x_compete(&envs[1], KIND, 7, x)));
+        assert!(!block_on(x_compete(&envs[2], KIND, 7, x)), "array exhausted");
+        assert!(!block_on(x_compete(&envs[3], KIND, 7, x)));
     }
 
     #[test]
     fn instances_are_independent() {
         let w = ModelWorld::new_free(2);
         let e0 = Env::new(w.clone(), 0);
-        assert!(x_compete(&e0, KIND, 100, 1));
-        assert!(x_compete(&e0, KIND, 101, 1), "fresh instance, fresh array");
+        assert!(block_on(x_compete(&e0, KIND, 100, 1)));
+        assert!(block_on(x_compete(&e0, KIND, 101, 1)), "fresh instance, fresh array");
     }
 }

@@ -78,9 +78,9 @@ impl XSafeAgreement {
     /// subset containing them (`C(n−1, x−1)` steps) and one final register
     /// write; a crash anywhere in that walk is survivable by the instance
     /// as long as at least one owner completes.
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub async fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
         // (01) owner ← X_T&S.x_compete()
-        let owner = x_compete(env, self.tas_kind(), self.inst, self.x);
+        let owner = x_compete(env, self.tas_kind(), self.inst, self.x).await;
         // (02) if (owner) then
         if !owner {
             return;
@@ -95,24 +95,24 @@ impl XSafeAgreement {
             let set = subset_unrank(self.n as u32, self.x, l);
             if set.binary_search(&(i as u32)).is_ok() {
                 let ports: Vec<Pid> = set.iter().map(|&p| p as Pid).collect();
-                res = env.xcons_propose(self.cons_key(l), &ports, res);
+                res = env.xcons_propose(self.cons_key(l), &ports, res).await;
             }
         }
         // (07) X_SAFE_AG ← res
-        env.reg_write(self.result_key(), res);
+        env.reg_write(self.result_key(), res).await;
     }
 
     /// One polling iteration of `x_sa_decide` — Figure 6 lines 09–10.
     ///
     /// Returns the content of `X_SAFE_AG`, or `None` while it is still `⊥`.
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
-        env.reg_read(self.result_key())
+    pub async fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+        env.reg_read(self.result_key()).await
     }
 
     /// Blocking `x_sa_decide` (spins on [`Self::try_decide`]).
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub async fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
         loop {
-            if let Some(v) = self.try_decide(env) {
+            if let Some(v) = self.try_decide(env).await {
                 return v;
             }
         }
@@ -122,20 +122,20 @@ impl XSafeAgreement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+    use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
     use mpcn_runtime::sched::{Crashes, Schedule};
-    use mpcn_runtime::Env;
+    use mpcn_runtime::{block_on, Env};
 
     const BASE: u32 = 600;
 
     fn propose_decide_bodies(n: usize, x: u32) -> Vec<Body> {
         (0..n)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let ag = XSafeAgreement::new(BASE, 0, n, x);
-                    ag.propose(&env, 100 + i as u64);
-                    ag.decide::<u64, _>(&env)
-                }) as Body
+                    ag.propose(&env, 100 + i as u64).await;
+                    ag.decide::<u64, _>(&env).await
+                })
             })
             .collect()
     }
@@ -145,13 +145,13 @@ mod tests {
         let w = ModelWorld::new_free(4);
         let envs: Vec<Env<ModelWorld>> = (0..4).map(|p| Env::new(w.clone(), p)).collect();
         let ag = XSafeAgreement::new(BASE, 0, 4, 2);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[0]), None);
-        ag.propose(&envs[2], 22u64);
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[0])), None);
+        block_on(ag.propose(&envs[2], 22u64));
         // p2 ran alone: it won x_compete, carried 22 through its subsets,
         // and published it.
-        assert_eq!(ag.try_decide::<u64, _>(&envs[0]), Some(22));
-        ag.propose(&envs[1], 11u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[1]), Some(22));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[0])), Some(22));
+        block_on(ag.propose(&envs[1], 11u64));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[1])), Some(22));
     }
 
     #[test]
@@ -218,13 +218,13 @@ mod tests {
             .crashes(Crashes::AtOwnStep(vec![(2, 2), (3, 2)]));
         let bodies: Vec<Body> = (0..6)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let ag = XSafeAgreement::new(BASE, 0, 6, 2);
                     if i < 4 {
-                        ag.propose(&env, 100 + i as u64);
+                        ag.propose(&env, 100 + i as u64).await;
                     }
-                    ag.decide::<u64, _>(&env)
-                }) as Body
+                    ag.decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let report = ModelWorld::run(cfg, bodies);
@@ -242,9 +242,9 @@ mod tests {
         let envs: Vec<Env<ModelWorld>> = (0..3).map(|p| Env::new(w.clone(), p)).collect();
         let ag = XSafeAgreement::new(BASE, 1, 3, 1);
         assert_eq!(ag.set_list_len(), 3);
-        ag.propose(&envs[1], 9u64);
-        ag.propose(&envs[0], 8u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[2]), Some(9));
+        block_on(ag.propose(&envs[1], 9u64));
+        block_on(ag.propose(&envs[0], 8u64));
+        assert_eq!(block_on(ag.try_decide::<u64, _>(&envs[2])), Some(9));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   in-memory line byte for byte), bounded-depth at `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
 //!   `(process, step)` pair, DPOR on vs off, verdicts cross-checked
-//!   against the gated-replay oracle — plus a crash-count differential
+//!   against the linear-replay oracle — plus a crash-count differential
 //!   pinning that one `Crashes::UpTo(1)` sweep reproduces the exact
 //!   outcome union of the whole matrix;
 //! * fault-tolerance sweeps (ROADMAP "crash-count adversary"):
@@ -36,7 +36,7 @@
 //!   forwards only its own write, and all `n` decide their own
 //!   proposals); the exact counterexample choice vectors and the
 //!   sweep lines up to their discovery are pinned and replayed through
-//!   the gated engine — plus Figure 5 at `n = 3, 4` and Figure 6 at
+//!   the linear engine — plus Figure 5 at `n = 3, 4` and Figure 6 at
 //!   `n = 3`, which stay correct under TSO (their test&set / x-consensus
 //!   steps fence), exhausted and pinned.
 //!
@@ -421,10 +421,10 @@ fn fig6_n4_exhaustive_is_thread_count_invariant() {
 /// every `(process, step)` pair — every victim, every own-step position
 /// in its 4-operation body — swept exhaustively with DPOR **on and off**
 /// (every other reduction on). Verdicts must match pair for pair, and
-/// both agree with the gated-replay oracle: any violation either sweep
-/// found would be re-executed through the gated reference engine (the
+/// both agree with the linear-replay oracle: any violation either sweep
+/// found would be re-executed through the linear reference engine (the
 /// explorer's built-in confirmation) before being reported, and the
-/// canonical choice-0 schedule is additionally replayed gated here and
+/// canonical choice-0 schedule is additionally replayed linearly here and
 /// checked directly.
 #[test]
 fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
@@ -455,12 +455,12 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
                 dpor.stats.expansions <= baseline.stats.expansions,
                 "DPOR never adds work (victim {victim}, step {crash_step})"
             );
-            // Gated-replay oracle, driven explicitly on the canonical
+            // Linear-replay oracle, driven explicitly on the canonical
             // schedule: the reference engine agrees nothing is violated.
             let gated = replay(3, crashes, false, 1_000, || fig1_bodies(3, 1), &[]);
             assert!(
                 check_agreement(&gated, 3, false).is_ok(),
-                "gated oracle disagrees (victim {victim}, step {crash_step})"
+                "linear-replay oracle disagrees (victim {victim}, step {crash_step})"
             );
         }
     }
@@ -604,7 +604,7 @@ fn fig1_n4_f2_fault_tolerance_exhaustive_baseline() {
 /// own value — all three decide differently. The sweep line up to the
 /// discovery, the exact counterexample choice vector (pure op-band:
 /// every store still parked when the deciding scans run), and its
-/// gated-engine replay are all pinned. The summary carries no `symm=`
+/// linear-engine replay are all pinned. The summary carries no `symm=`
 /// field even though a spec is supplied: the quotient is gated off
 /// under TSO (buffered keys are not relabeled — `docs/EXPLORER.md`
 /// §3.8).
@@ -631,7 +631,7 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
          branching=[0,659,1633,1955,1257,429,64]",
         "fig1 n = 3 TSO counterexample baseline drifted"
     );
-    // Gated replay: the relaxed outcome reproduces — every process
+    // Linear replay: the relaxed outcome reproduces — every process
     // decides its own proposal (encoded `v + 1`).
     let replayed = replay(3, Crashes::None, true, 2_000, || fig1_bodies(3, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103]);

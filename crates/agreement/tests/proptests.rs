@@ -7,9 +7,8 @@ use proptest::prelude::*;
 use mpcn_agreement::safe::SafeAgreement;
 use mpcn_agreement::xcompete::x_compete;
 use mpcn_agreement::xsafe::XSafeAgreement;
-use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
 use mpcn_runtime::sched::{Crashes, Schedule};
-use mpcn_runtime::Env;
 
 const BASE: u32 = 800;
 
@@ -22,11 +21,11 @@ proptest! {
     fn safe_agreement_randomized(n in 2usize..7, seed in 0u64..1_000_000) {
         let bodies: Vec<Body> = (0..n)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let sa = SafeAgreement::new(BASE, 0, n);
-                    sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
-                }) as Body
+                    sa.sa_propose(&env, 100 + i as u64).await;
+                    sa.sa_decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let cfg = RunConfig::new(n).schedule(Schedule::RandomSeed(seed));
@@ -49,11 +48,11 @@ proptest! {
         let crashes = (x - 1) as usize;
         let bodies: Vec<Body> = (0..n)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let ag = XSafeAgreement::new(BASE + 10, 0, n, x);
-                    ag.propose(&env, 100 + i as u64);
-                    ag.decide::<u64, _>(&env)
-                }) as Body
+                    ag.propose(&env, 100 + i as u64).await;
+                    ag.decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let cfg = RunConfig::new(n)
@@ -82,9 +81,9 @@ proptest! {
     ) {
         let bodies: Vec<Body> = (0..n)
             .map(|_| {
-                Box::new(move |env: Env<ModelWorld>| {
-                    u64::from(x_compete(&env, BASE + 20, 0, x))
-                }) as Body
+                body(move |env| async move {
+                    u64::from(x_compete(&env, BASE + 20, 0, x).await)
+                })
             })
             .collect();
         let cfg = RunConfig::new(n)
@@ -105,12 +104,12 @@ proptest! {
         let n = 4usize;
         let bodies: Vec<Body> = (0..n)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     let inst = (i % 2) as u64; // two instances, two proposers each
                     let sa = SafeAgreement::new(BASE + 30, inst, n);
-                    sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
-                }) as Body
+                    sa.sa_propose(&env, 100 + i as u64).await;
+                    sa.sa_decide::<u64, _>(&env).await
+                })
             })
             .collect();
         let cfg = RunConfig::new(n).schedule(Schedule::RandomSeed(seed));

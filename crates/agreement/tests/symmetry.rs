@@ -22,9 +22,8 @@ use mpcn_agreement::fixtures::{
 };
 use mpcn_runtime::explore::{ExploreLimits, Explorer, Reduction};
 use mpcn_runtime::fingerprint::fp_of;
-use mpcn_runtime::model_world::{Body, ModelWorld, Snapshot, Symmetry};
+use mpcn_runtime::model_world::{body, Body, ModelWorld, Snapshot, Symmetry};
 use mpcn_runtime::world::ObjKey;
-use mpcn_runtime::Env;
 
 /// Drive the fig1 `n`-process snapshot engine along a deterministic
 /// pid sequence derived from `pick_seed`, mapping every chosen pid
@@ -138,15 +137,16 @@ fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
 fn equivariant_bodies(n: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let marks = ObjKey::new(KIND_BASE + 90, 0, 0);
                 let counts = ObjKey::new(KIND_BASE + 90, 0, 1);
-                env.snap_write(marks, n, i, 100 + i as u64);
-                let written =
-                    env.snap_scan_via::<u64, u64>(marks, n, |v| v.iter().flatten().count() as u64);
-                env.snap_write(counts, n, i, written);
-                env.snap_scan_via::<u64, u64>(counts, n, |v| v.iter().flatten().sum())
-            }) as Body
+                env.snap_write(marks, n, i, 100 + i as u64).await;
+                let written = env
+                    .snap_scan_via::<u64, u64>(marks, n, |v| v.iter().flatten().count() as u64)
+                    .await;
+                env.snap_write(counts, n, i, written).await;
+                env.snap_scan_via::<u64, u64>(counts, n, |v| v.iter().flatten().sum()).await
+            })
         })
         .collect()
 }

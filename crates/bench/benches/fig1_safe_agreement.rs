@@ -11,9 +11,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpcn_agreement::safe::SafeAgreement;
 use mpcn_bench::free_envs;
-use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+use mpcn_runtime::block_on;
+use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
 use mpcn_runtime::sched::Schedule;
-use mpcn_runtime::Env;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -29,9 +29,9 @@ fn sequential_propose_decide(c: &mut Criterion) {
                 inst += 1;
                 let sa = SafeAgreement::new(KIND, inst, n);
                 for e in &envs {
-                    sa.propose(e, black_box(7u64));
+                    block_on(sa.sa_propose(e, black_box(7u64)));
                 }
-                black_box(sa.try_decide::<u64, _>(&envs[0]).unwrap())
+                black_box(block_on(sa.sa_try_decide::<u64, _>(&envs[0])).unwrap())
             });
         });
     }
@@ -51,11 +51,11 @@ fn contended_round(c: &mut Criterion) {
                 let cfg = RunConfig::new(n).schedule(Schedule::RandomSeed(seed));
                 let bodies: Vec<Body> = (0..n)
                     .map(|i| {
-                        Box::new(move |env: Env<ModelWorld>| {
+                        body(move |env| async move {
                             let sa = SafeAgreement::new(KIND, 0, n);
-                            sa.propose(&env, 100 + i as u64);
-                            sa.decide::<u64, _>(&env)
-                        }) as Body
+                            sa.sa_propose(&env, 100 + i as u64).await;
+                            sa.sa_decide::<u64, _>(&env).await
+                        })
                     })
                     .collect();
                 black_box(ModelWorld::run(cfg, bodies).steps)

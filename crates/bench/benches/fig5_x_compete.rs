@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpcn_agreement::xcompete::x_compete;
 use mpcn_bench::free_envs;
+use mpcn_runtime::block_on;
 use std::hint::black_box;
 
 const KIND: u32 = 550;
@@ -19,7 +20,7 @@ fn winner(c: &mut Criterion) {
             let mut inst = 0u64;
             b.iter(|| {
                 inst += 1;
-                black_box(x_compete(&envs[0], KIND, inst, x))
+                black_box(block_on(x_compete(&envs[0], KIND, inst, x)))
             });
         });
     }
@@ -36,9 +37,9 @@ fn loser(c: &mut Criterion) {
                 inst += 1;
                 // Fill all x slots, then measure the full losing walk.
                 for e in envs.iter().take(x as usize) {
-                    x_compete(e, KIND, inst, x);
+                    block_on(x_compete(e, KIND, inst, x));
                 }
-                black_box(x_compete(&envs[x as usize], KIND, inst, x))
+                black_box(block_on(x_compete(&envs[x as usize], KIND, inst, x)))
             });
         });
     }

@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpcn_agreement::xsafe::XSafeAgreement;
 use mpcn_bench::free_envs;
 use mpcn_model::combinatorics::binomial;
+use mpcn_runtime::block_on;
 use std::hint::black_box;
 
 const KIND: u32 = 600;
@@ -28,8 +29,8 @@ fn propose_walk(c: &mut Criterion) {
             b.iter(|| {
                 inst += 1;
                 let ag = XSafeAgreement::new(KIND, inst, n, x);
-                ag.propose(&envs[0], black_box(42u64));
-                black_box(ag.try_decide::<u64, _>(&envs[1]).unwrap())
+                block_on(ag.propose(&envs[0], black_box(42u64)));
+                black_box(block_on(ag.try_decide::<u64, _>(&envs[1])).unwrap())
             });
         });
     }
@@ -43,8 +44,8 @@ fn decide_poll(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(x), &x, |b, &x| {
             let envs = free_envs(n);
             let ag = XSafeAgreement::new(KIND, 999_000 + u64::from(x), n, x);
-            ag.propose(&envs[0], 7u64);
-            b.iter(|| black_box(ag.try_decide::<u64, _>(&envs[2]).unwrap()));
+            block_on(ag.propose(&envs[0], 7u64));
+            b.iter(|| black_box(block_on(ag.try_decide::<u64, _>(&envs[2])).unwrap()));
         });
     }
     g.finish();

@@ -2,16 +2,16 @@
 //!
 //! Drives the lock-based [`ThreadWorld`] — real OS threads, no scheduler
 //! — through safe-agreement rounds at `n ∈ {8, 16, 32, 64}` against the
-//! deterministic [`ModelWorld`] executing the *same* bodies under its
-//! step gate, then scales ThreadWorld alone through the high-concurrency
-//! sizes `n ∈ {128, 256, 1024}` (ModelWorld spawns one gated OS thread
-//! per process, so the comparison stops being about shared memory well
-//! before 1024). One round = every process runs `sa_propose` (3
-//! shared-memory steps) plus `POLLS` `try_decide` polls (1 step each), so
-//! a round costs exactly `n · (3 + POLLS)` shared operations in either
-//! world — which makes the printed steps/sec lines a direct measure of
-//! the scheduler-handshake overhead (small `n`) and of substrate
-//! contention behavior (large `n`).
+//! deterministic [`ModelWorld`] polling the *same* bodies one step at a
+//! time on one thread, then scales ThreadWorld alone through the
+//! high-concurrency sizes `n ∈ {128, 256, 1024}` (the comparison pits one
+//! scheduled thread against `n` contending ones, so it stops being about
+//! shared memory well before 1024). One round = every process runs
+//! `sa_propose` (3 shared-memory steps) plus `POLLS` `sa_try_decide` polls
+//! (1 step each), so a round costs exactly `n · (3 + POLLS)` shared
+//! operations in either world — which makes the printed steps/sec lines a
+//! direct measure of the scheduler's per-step overhead (small `n`) and of
+//! substrate contention behavior (large `n`).
 //!
 //! The `thread_world …` stderr lines contain wall-clock rates and are
 //! deliberately **not** matched by the CI determinism-gate filter. With
@@ -24,10 +24,10 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use mpcn_agreement::safe::SafeAgreement;
 use mpcn_bench::{assert_epoch_drained, bench_json_appender, bench_json_record};
-use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
+use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig};
 use mpcn_runtime::sched::Schedule;
 use mpcn_runtime::thread_world::ThreadWorld;
-use mpcn_runtime::world::Env;
+use mpcn_runtime::world::{block_on, Env};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ use std::time::Instant;
 const KIND: u32 = 840;
 /// `try_decide` polls per process and round.
 const POLLS: usize = 2;
-/// Sizes where the gated ModelWorld comparison is still meaningful.
+/// Sizes where the ModelWorld comparison is still meaningful.
 const COMPARE_SIZES: [usize; 4] = [8, 16, 32, 64];
 /// High-concurrency ThreadWorld-only sizes.
 const LARGE_SIZES: [usize; 3] = [128, 256, 1024];
@@ -72,12 +72,14 @@ fn thread_world_round(n: usize) -> usize {
                 scope.spawn(move || {
                     let env = Env::new(world, pid);
                     let sa = SafeAgreement::new(KIND, 0, n);
-                    sa.propose(&env, 100 + pid as u64);
-                    let mut last = None;
-                    for _ in 0..POLLS {
-                        last = sa.try_decide::<u64, _>(&env);
-                    }
-                    usize::from(last.is_some())
+                    block_on(async {
+                        sa.sa_propose(&env, 100 + pid as u64).await;
+                        let mut last = None;
+                        for _ in 0..POLLS {
+                            last = sa.sa_try_decide::<u64, _>(&env).await;
+                        }
+                        usize::from(last.is_some())
+                    })
                 })
             })
             .collect();
@@ -88,20 +90,20 @@ fn thread_world_round(n: usize) -> usize {
 fn model_bodies(n: usize) -> Vec<Body> {
     (0..n)
         .map(|pid| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let sa = SafeAgreement::new(KIND, 0, n);
-                sa.propose(&env, 100 + pid as u64);
+                sa.sa_propose(&env, 100 + pid as u64).await;
                 let mut last = None;
                 for _ in 0..POLLS {
-                    last = sa.try_decide::<u64, _>(&env);
+                    last = sa.sa_try_decide::<u64, _>(&env).await;
                 }
                 u64::from(last.is_some())
-            }) as Body
+            })
         })
         .collect()
 }
 
-/// One gated round under the deterministic scheduler. Returns the exact
+/// One round under the deterministic scheduler. Returns the exact
 /// step count (must equal [`ops_per_round`]).
 fn model_world_round(n: usize) -> u64 {
     let report =
@@ -124,7 +126,7 @@ fn sweep(c: &mut Criterion) {
     let mut json = bench_json_appender();
     for n in COMPARE_SIZES {
         let model_steps = model_world_round(n);
-        assert_eq!(model_steps, ops_per_round(n), "every op is one gated step");
+        assert_eq!(model_steps, ops_per_round(n), "every op is one scheduled step");
         let rounds = rate_rounds(n);
         let model_rate = rate(rounds.min(3), || model_world_round(n));
         let thread_rate = rate(rounds, || {

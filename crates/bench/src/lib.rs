@@ -4,7 +4,7 @@
 //! EXPERIMENTS.md) measure two kinds of quantities:
 //!
 //! * **wall time** of whole simulation runs under the deterministic model
-//!   world (dominated by scheduler handshakes — meaningful for *relative*
+//!   world (dominated by the scheduler's per-step work — meaningful for *relative*
 //!   comparisons: who is cheaper, how cost scales with `n`, `x`, crash
 //!   count);
 //! * **shared-memory step counts** (exact, deterministic) — the

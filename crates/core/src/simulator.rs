@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use mpcn_agreement::{pack_inst, Agreement, AgreementKind};
 use mpcn_model::ModelParams;
-use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport};
+use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig, RunReport};
 use mpcn_runtime::program::{BoxedProcess, SimOp, SimResponse, SimStep};
 use mpcn_runtime::sched::{Crashes, Schedule};
 use mpcn_runtime::world::{Env, ObjKey, World};
@@ -217,9 +217,9 @@ pub(crate) fn run_simulation(
             let algorithm = spec.algorithm.clone();
             let ag_kind = spec.agreement_kind();
             let own_input = inputs[qi];
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| {
                 Simulator::new(env, n_targets, algorithm, own_input, ag_kind, colored).run()
-            }) as Body
+            })
         })
         .collect();
     ModelWorld::run(cfg, bodies)
@@ -323,10 +323,10 @@ impl<W: World> Simulator<W> {
     }
 
     /// Runs the simulator to its (colorless or colored) decision.
-    pub(crate) fn run(mut self) -> u64 {
+    pub(crate) async fn run(mut self) -> u64 {
         loop {
             for j in 0..self.n_sim {
-                self.advance(j);
+                self.advance(j).await;
                 if let Status::Decided(v) = self.status[j] {
                     if !self.colored {
                         return v;
@@ -334,7 +334,7 @@ impl<W: World> Simulator<W> {
                     // Fig. 8 decision distribution: claim p_j's value with
                     // the shared test&set; on loss keep simulating the
                     // others.
-                    if self.env.tas(ObjKey::new(kinds::COLOR_TAS, j as u64, 0)) {
+                    if self.env.tas(ObjKey::new(kinds::COLOR_TAS, j as u64, 0)).await {
                         return v;
                     }
                     self.status[j] = Status::Claimed;
@@ -345,19 +345,19 @@ impl<W: World> Simulator<W> {
 
     /// One micro-move of simulated process `j`: resolve a pending wait or
     /// run the program until it parks on an agreement (or decides).
-    fn advance(&mut self, j: usize) {
+    async fn advance(&mut self, j: usize) {
         // Resolve pending waits first (one poll each — one shared step).
         let step = match &self.status[j] {
             Status::Decided(_) | Status::Claimed => return,
             Status::Fresh => {
                 // Agree on p_j's input: every simulator proposes its own.
-                self.input_agreement(j).propose(&self.env, self.own_input);
+                self.input_agreement(j).propose(&self.env, self.own_input).await;
                 self.status[j] = Status::WaitInput;
                 return;
             }
             Status::WaitInput => {
                 let ag = self.input_agreement(j);
-                match ag.try_decide::<u64, W>(&self.env) {
+                match ag.try_decide::<u64, W>(&self.env).await {
                     None => return,
                     Some(input_j) => {
                         self.programs[j] = Some(self.algorithm.program(j, input_j));
@@ -367,7 +367,7 @@ impl<W: World> Simulator<W> {
             }
             Status::WaitSnapshot { snapsn } => {
                 let ag = self.snap_agreement(j, *snapsn);
-                match ag.try_decide::<MemArray, W>(&self.env) {
+                match ag.try_decide::<MemArray, W>(&self.env).await {
                     None => return, // still unstable; try again later
                     Some(input) => {
                         let view =
@@ -379,7 +379,7 @@ impl<W: World> Simulator<W> {
             Status::WaitXCons { a } => {
                 let a = *a;
                 let ag = self.xcons_agreement(a);
-                match ag.try_decide::<u64, W>(&self.env) {
+                match ag.try_decide::<u64, W>(&self.env).await {
                     None => return,
                     Some(v) => {
                         self.xres.insert(a, v);
@@ -388,7 +388,7 @@ impl<W: World> Simulator<W> {
                 }
             }
         };
-        self.dispatch(j, step);
+        self.dispatch(j, step).await;
     }
 
     /// The (already built) program of simulated process `j`.
@@ -398,7 +398,7 @@ impl<W: World> Simulator<W> {
 
     /// Executes program steps until `j` parks or decides. Writes complete
     /// synchronously; snapshots and consensus proposals park.
-    fn dispatch(&mut self, j: usize, mut step: SimStep) {
+    async fn dispatch(&mut self, j: usize, mut step: SimStep) {
         loop {
             match step {
                 SimStep::Decide(v) => {
@@ -410,23 +410,26 @@ impl<W: World> Simulator<W> {
                     self.w_sn[j] += 1;
                     self.mem[j] = (v, self.w_sn[j]);
                     let i = self.env.pid();
-                    self.env.snap_write(
-                        self.mem_key(),
-                        self.n_simulators,
-                        i,
-                        Arc::new(self.mem.clone()) as MemArray,
-                    );
+                    self.env
+                        .snap_write(
+                            self.mem_key(),
+                            self.n_simulators,
+                            i,
+                            Arc::new(self.mem.clone()) as MemArray,
+                        )
+                        .await;
                     step = self.program(j).on_response(SimResponse::WriteAck);
                 }
                 SimStep::Invoke(SimOp::Snapshot) => {
                     // Figure 3 lines 01-05: snapshot MEM, build the input
                     // from the most advanced simulator per process, propose.
-                    let smi = self.env.snap_scan::<MemArray>(self.mem_key(), self.n_simulators);
+                    let smi =
+                        self.env.snap_scan::<MemArray>(self.mem_key(), self.n_simulators).await;
                     let input = self.build_input(&smi);
                     self.snap_sn[j] += 1;
                     let snapsn = self.snap_sn[j];
                     let ag = self.snap_agreement(j, snapsn);
-                    ag.propose(&self.env, input);
+                    ag.propose(&self.env, input).await;
                     self.status[j] = Status::WaitSnapshot { snapsn };
                     return;
                 }
@@ -443,7 +446,7 @@ impl<W: World> Simulator<W> {
                     );
                     if !self.proposed_x[a] {
                         self.proposed_x[a] = true;
-                        self.xcons_agreement(a).propose(&self.env, v);
+                        self.xcons_agreement(a).propose(&self.env, v).await;
                     }
                     self.status[j] = Status::WaitXCons { a };
                     return;

@@ -9,7 +9,7 @@
 //! holds under real interleavings too.
 
 use mpcn_runtime::thread_world::ThreadWorld;
-use mpcn_runtime::world::Env;
+use mpcn_runtime::world::{block_on, Env};
 
 use crate::simulator::{SimulationSpec, Simulator};
 
@@ -33,15 +33,10 @@ pub fn run_colorless_threaded(spec: &SimulationSpec, inputs: &[u64]) -> Vec<u64>
                 let ag_kind = spec.agreement_kind();
                 let own_input = inputs[qi];
                 s.spawn(move || {
-                    Simulator::new(
-                        Env::new(world, qi),
-                        n_targets,
-                        algorithm,
-                        own_input,
-                        ag_kind,
-                        false,
+                    let env = Env::new(world, qi);
+                    block_on(
+                        Simulator::new(env, n_targets, algorithm, own_input, ag_kind, false).run(),
                     )
-                    .run()
                 })
             })
             .collect();

@@ -30,7 +30,7 @@
 //!    while it is still in that worker's cache.
 //! 2. **Merge (canonical):** results come back one vector per block and
 //!    are folded **in job order** — visited-set insertion, within-layer
-//!    duplicate resolution, violation checks (with gated-replay
+//!    duplicate resolution, violation checks (with linear-replay
 //!    confirmation), the expansion budget, resident-ceiling eviction,
 //!    checkpoint storage, statistics, and the next layer's job list,
 //!    replayed from each child's precomputed choice list. Every
@@ -43,9 +43,8 @@
 //! exhausted) synthesize their [`RunReport`] from the snapshot in the
 //! worker and are checked at merge time. Nodes at the
 //! sibling-enumeration depth bound run a **tail**: resumed to completion
-//! along the canonical choice-0 suffix as one job, exactly like the
-//! gated explorer's depth-bounded runs. A violation's confirmation
-//! re-runs its choice vector through the **gated** world
+//! along the canonical choice-0 suffix as one job. A violation's confirmation
+//! re-runs its choice vector through the **linear** engine
 //! ([`RunConfig::replay`]) and asserts both engines agree on the
 //! outcomes — a permanent cross-check of the resume engine against the
 //! reference implementation.
@@ -58,7 +57,7 @@
 //! to each alive process's op expansion — a crash sibling encoded as
 //! choice `alive.len() + i` (the same crash index band
 //! `Schedule::Indexed` decodes, so counterexample vectors replay their
-//! crash placements through the gated engine verbatim). One sweep thus
+//! crash placements through the linear engine verbatim). One sweep thus
 //! exhausts *all* crash placements against *all* alive processes for
 //! every budget `≤ f`. Because the policy names no pid, the schedule
 //! space stays permutation-closed and the symmetry quotient remains
@@ -281,7 +280,7 @@ pub(super) struct Node {
     /// The decision that created this node. `None` at the root.
     pub(super) incoming: Option<(Pid, Action)>,
     /// Adversary state after this node's path (one `should_crash` call
-    /// per pick, as in a gated run).
+    /// per pick, as in a linear run).
     pub(super) crash: CrashState,
     /// Nearest checkpointed ancestor, installed by [`Engine::admit`]
     /// when the node itself sits on a checkpoint-depth layer and
@@ -907,12 +906,12 @@ where
     }
 
     /// Accounts one completed run and checks it; a violation is confirmed
-    /// against the gated engine before being recorded.
+    /// against the linear engine before being recorded.
     fn finish_run(&mut self, report: RunReport, choices: Vec<usize>, depth: usize) {
         self.stats.runs += 1;
         self.stats.max_depth = self.stats.max_depth.max(depth);
         if let Err(message) = (self.check)(&report) {
-            self.confirm_against_gated_replay(&choices, &report);
+            self.confirm_against_linear_replay(&choices, &report);
             self.violations.push(Violation { choices, message });
             if !self.ex.collect_all {
                 self.complete = false;
@@ -921,10 +920,10 @@ where
         }
     }
 
-    /// Re-runs a violating choice vector through the gated world (the
+    /// Re-runs a violating choice vector through the linear engine (the
     /// same [`RunConfig::replay`] the public [`super::replay`] builds)
     /// and asserts both engines reach the same outcomes.
-    fn confirm_against_gated_replay(&self, choices: &[usize], report: &RunReport) {
+    fn confirm_against_linear_replay(&self, choices: &[usize], report: &RunReport) {
         let cfg = RunConfig::replay(
             self.ex.n,
             self.ex.crashes.clone(),
@@ -935,7 +934,7 @@ where
         let replayed = ModelWorld::run(cfg, (self.shared.make_bodies)());
         assert_eq!(
             replayed.outcomes, report.outcomes,
-            "snapshot-resume exploration and gated replay disagree on a counterexample \
+            "snapshot-resume exploration and linear replay disagree on a counterexample \
              (choices {choices:?}) — model-world engine bug"
         );
     }
@@ -975,7 +974,7 @@ impl<F> Shared<'_, F> {
         // flush sibling per non-empty store buffer (by raw pid, because
         // buffers outlive their owner's finish or crash). Each is queued
         // as the choice `Pick::decode` maps back to it, so
-        // counterexample vectors replay through the gated engine
+        // counterexample vectors replay through the linear engine
         // verbatim.
         let ops = node.alive.iter().map(|&p| Pick::Op(p));
         let budget = node.crash.budget_left();
@@ -1204,7 +1203,7 @@ impl Trail {
 
 /// One scheduling decision from `snap`, advancing `crash` by its
 /// `should_crash` call: a firing crash replaces the step, exactly as in
-/// the gated scheduler loop. Returns the successor and whether the pick
+/// the linear scheduler loop. Returns the successor and whether the pick
 /// delivered a crash.
 ///
 /// Under the `Fn() -> Vec<Body>` contract a non-crash step must
@@ -1227,7 +1226,7 @@ fn step_snapshot<F: Fn() -> Vec<Body>>(
 }
 
 /// Executes one choice-vector entry from `snap` (alive set `alive`),
-/// decoded exactly as the gated engine decodes it ([`Pick::decode`]): an
+/// decoded exactly as the linear engine decodes it ([`Pick::decode`]): an
 /// op pick is a [`step_snapshot`] scheduling decision, a crash pick
 /// delivers one of the crash-count adversary's budgeted crashes —
 /// consuming no step — and a flush pick flushes the head of a store
@@ -1355,7 +1354,7 @@ fn run_tail<F: Fn() -> Vec<Body>>(
             // Everyone finished or crashed but store buffers still hold
             // writes (TSO only): drain them in raw-pid order, recording
             // each flush as its encoded choice so the vector replays
-            // through the gated engine.
+            // through the linear engine.
             let pid = *snap.flushable().first().expect("non-terminal with no alive process");
             choices.push(Pick::Flush(pid).encode(&alive));
             snap = ModelWorld::resume_flush(&snap, pid);

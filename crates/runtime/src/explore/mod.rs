@@ -299,8 +299,8 @@ impl Default for Reduction {
 ///
 /// ```
 /// use mpcn_runtime::explore::Explorer;
-/// use mpcn_runtime::model_world::{Body, ModelWorld};
-/// use mpcn_runtime::world::{Env, ObjKey};
+/// use mpcn_runtime::model_world::body;
+/// use mpcn_runtime::world::ObjKey;
 ///
 /// // Two processes race on a test&set object; exactly one wins, on
 /// // every interleaving.
@@ -308,7 +308,7 @@ impl Default for Reduction {
 /// let report = Explorer::new(2).run(
 ///     || {
 ///         (0..2)
-///             .map(|_| Box::new(move |env: Env<ModelWorld>| u64::from(env.tas(key))) as Body)
+///             .map(|_| body(move |env| async move { u64::from(env.tas(key).await) }))
 ///             .collect()
 ///     },
 ///     |r| {
@@ -339,7 +339,7 @@ pub struct Explorer {
     /// Stop the sweep between layer barriers after this many layers —
     /// the deterministic stand-in for a mid-sweep kill, used by the
     /// resume tests and the CI interrupt-then-resume gate. Not persisted
-    /// to the manifest (it is the driver's knob, not the sweep's).
+    /// to the manifest (it is the engine's knob, not the sweep's).
     halt_after_layers: Option<u64>,
     /// Free-form sweep identifier recorded in the manifest, so a resumed
     /// sweep can be matched to the fixture that produced it.
@@ -413,7 +413,7 @@ impl Explorer {
     /// next to the op and crash bands, so one sweep exhausts every
     /// placement of every flush against every interleaving (and every
     /// counterexample vector replays its flush placements through the
-    /// gated engine verbatim). `tas`, `xcons_propose`, and
+    /// linear engine verbatim). `tas`, `xcons_propose`, and
     /// [`crate::world::World::fence`] drain the caller's buffer.
     ///
     /// Store buffers are hardware state: they survive their owner's
@@ -491,17 +491,17 @@ impl Explorer {
     ///
     /// ```
     /// use mpcn_runtime::explore::Explorer;
-    /// use mpcn_runtime::model_world::{Body, ModelWorld};
-    /// use mpcn_runtime::world::{Env, ObjKey};
+    /// use mpcn_runtime::model_world::body;
+    /// use mpcn_runtime::world::ObjKey;
     ///
     /// let bodies = || {
     ///     (0..2u64)
     ///         .map(|i| {
-    ///             Box::new(move |env: Env<ModelWorld>| {
-    ///                 env.reg_write(ObjKey::new(902, i, 0), i);
-    ///                 env.reg_write(ObjKey::new(902, i, 1), i);
+    ///             body(move |env| async move {
+    ///                 env.reg_write(ObjKey::new(902, i, 0), i).await;
+    ///                 env.reg_write(ObjKey::new(902, i, 1), i).await;
     ///                 i
-    ///             }) as Body
+    ///             })
     ///         })
     ///         .collect::<Vec<_>>()
     /// };
@@ -751,15 +751,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{Env, ObjKey};
+    use crate::model_world::body;
+    use crate::world::ObjKey;
 
     const REG: ObjKey = ObjKey::new(60, 0, 0);
     const TAS: ObjKey = ObjKey::new(61, 0, 0);
 
     fn tas_bodies() -> Vec<Body> {
-        (0..2)
-            .map(|_| Box::new(move |env: Env<ModelWorld>| u64::from(env.tas(TAS))) as Body)
-            .collect()
+        (0..2).map(|_| body(move |env| async move { u64::from(env.tas(TAS).await) })).collect()
     }
 
     fn one_winner(report: &RunReport) -> Result<(), String> {
@@ -807,11 +806,11 @@ mod tests {
         let bodies = || {
             (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.reg_write(ObjKey::new(62, i, 0), 1u64);
-                        env.reg_write(ObjKey::new(62, i, 1), 2u64);
+                    body(move |env| async move {
+                        env.reg_write(ObjKey::new(62, i, 0), 1u64).await;
+                        env.reg_write(ObjKey::new(62, i, 1), 2u64).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -837,10 +836,10 @@ mod tests {
         let bodies = || {
             (0..3)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.reg_write(REG.with_b(i), 1u64);
+                    body(move |env| async move {
+                        env.reg_write(REG.with_b(i), 1u64).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -858,12 +857,12 @@ mod tests {
             || {
                 (0..2)
                     .map(|i| {
-                        Box::new(move |env: Env<ModelWorld>| {
+                        body(move |env| async move {
                             for b in 0..3 {
-                                env.reg_write(ObjKey::new(63, i, b), b);
+                                env.reg_write(ObjKey::new(63, i, b), b).await;
                             }
                             i
-                        }) as Body
+                        })
                     })
                     .collect()
             },
@@ -903,11 +902,11 @@ mod tests {
         let bodies = || {
             (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.reg_write(REG.with_b(10 + i), i);
-                        env.reg_write(REG.with_b(20 + i), i);
+                    body(move |env| async move {
+                        env.reg_write(REG.with_b(10 + i), i).await;
+                        env.reg_write(REG.with_b(20 + i), i).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -931,11 +930,11 @@ mod tests {
         let bodies = || {
             (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        let seen = env.reg_read::<u64>(REG).map_or(0, |v| v);
-                        env.reg_write(REG.with_b(30 + i), seen);
+                    body(move |env| async move {
+                        let seen = env.reg_read::<u64>(REG).await.map_or(0, |v| v);
+                        env.reg_write(REG.with_b(30 + i), seen).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -974,12 +973,12 @@ mod tests {
         let bodies = || {
             (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
+                    body(move |env| async move {
                         for b in 0..4 {
-                            env.reg_write(ObjKey::new(64, i, b), b);
+                            env.reg_write(ObjKey::new(64, i, b), b).await;
                         }
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -1019,11 +1018,11 @@ mod tests {
         let bodies = || {
             (0..3)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.reg_write(REG.with_b(40 + i), i);
-                        env.reg_write(REG.with_b(50 + i), i);
+                    body(move |env| async move {
+                        env.reg_write(REG.with_b(40 + i), i).await;
+                        env.reg_write(REG.with_b(50 + i), i).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -1052,17 +1051,17 @@ mod tests {
         let bodies = || {
             let mut v: Vec<Body> = (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.reg_write(REG.with_b(70 + i), i);
+                    body(move |env| async move {
+                        env.reg_write(REG.with_b(70 + i), i).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect();
-            v.push(Box::new(move |env: Env<ModelWorld>| {
-                env.reg_read::<u64>(REG.with_b(70));
-                env.reg_read::<u64>(REG.with_b(71));
+            v.push(body(move |env| async move {
+                env.reg_read::<u64>(REG.with_b(70)).await;
+                env.reg_read::<u64>(REG.with_b(71)).await;
                 7u64
-            }) as Body);
+            }));
             v
         };
         let sweep = |quotient_obs: bool| {
@@ -1090,11 +1089,11 @@ mod tests {
         let bodies = || {
             (0..3u64)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.snap_write(ObjKey::new(66, 0, 0), 3, i as usize, i + 1);
-                        let view = env.snap_scan::<u64>(ObjKey::new(66, 0, 0), 3);
+                    body(move |env| async move {
+                        env.snap_write(ObjKey::new(66, 0, 0), 3, i as usize, i + 1).await;
+                        let view = env.snap_scan::<u64>(ObjKey::new(66, 0, 0), 3).await;
                         view.into_iter().flatten().sum()
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -1118,12 +1117,12 @@ mod tests {
         let bodies = || {
             (0..2)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
+                    body(move |env| async move {
                         for b in 0..6 {
-                            env.reg_write(ObjKey::new(67, i, b), b);
+                            env.reg_write(ObjKey::new(67, i, b), b).await;
                         }
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -1155,19 +1154,21 @@ mod tests {
         let bodies = || {
             let mut v: Vec<Body> = (0..2u64)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.snap_write(ObjKey::new(68, 0, 0), 3, i as usize, 10 + i);
+                    body(move |env| async move {
+                        env.snap_write(ObjKey::new(68, 0, 0), 3, i as usize, 10 + i).await;
                         i
-                    }) as Body
+                    })
                 })
                 .collect();
-            v.push(Box::new(move |env: Env<ModelWorld>| {
-                let written = env.snap_scan_via::<u64, u64>(ObjKey::new(68, 0, 0), 3, |view| {
-                    view.iter().flatten().count() as u64
-                });
-                env.snap_write(ObjKey::new(68, 0, 0), 3, 2, 99);
+            v.push(body(move |env| async move {
+                let written = env
+                    .snap_scan_via::<u64, u64>(ObjKey::new(68, 0, 0), 3, |view| {
+                        view.iter().flatten().count() as u64
+                    })
+                    .await;
+                env.snap_write(ObjKey::new(68, 0, 0), 3, 2, 99).await;
                 written
-            }) as Body);
+            }));
             v
         };
         let sweep = |view_summaries: bool| {
@@ -1213,12 +1214,12 @@ mod tests {
     fn spill_bodies() -> Vec<Body> {
         (0..3u64)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
-                    env.snap_write(ObjKey::new(69, 0, 0), 3, i as usize, i + 1);
-                    let view = env.snap_scan::<u64>(ObjKey::new(69, 0, 0), 3);
-                    env.snap_write(ObjKey::new(69, 0, 1), 3, i as usize, i);
+                body(move |env| async move {
+                    env.snap_write(ObjKey::new(69, 0, 0), 3, i as usize, i + 1).await;
+                    let view = env.snap_scan::<u64>(ObjKey::new(69, 0, 0), 3).await;
+                    env.snap_write(ObjKey::new(69, 0, 1), 3, i as usize, i).await;
                     view.into_iter().flatten().sum()
-                }) as Body
+                })
             })
             .collect()
     }
@@ -1323,15 +1324,15 @@ mod tests {
     fn uneven_bodies() -> Vec<Body> {
         (0..2u64)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
-                    env.snap_write(ObjKey::new(70, 0, 0), 2, i as usize, i + 1);
-                    let view = env.snap_scan::<u64>(ObjKey::new(70, 0, 0), 2);
+                body(move |env| async move {
+                    env.snap_write(ObjKey::new(70, 0, 0), 2, i as usize, i + 1).await;
+                    let view = env.snap_scan::<u64>(ObjKey::new(70, 0, 0), 2).await;
                     let seen = view.iter().flatten().count() as u64;
                     if seen < 2 {
-                        env.snap_write(ObjKey::new(70, 0, 1), 2, i as usize, seen);
+                        env.snap_write(ObjKey::new(70, 0, 1), 2, i as usize, seen).await;
                     }
                     seen
-                }) as Body
+                })
             })
             .collect()
     }
@@ -1581,15 +1582,15 @@ mod tests {
         let bodies = || {
             (0..3u64)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
+                    body(move |env| async move {
                         for j in 0..4 {
-                            env.reg_write(ObjKey::new(66, i, j), j);
+                            env.reg_write(ObjKey::new(66, i, j), j).await;
                         }
                         if i == 2 {
                             panic!("boom");
                         }
                         i
-                    }) as Body
+                    })
                 })
                 .collect()
         };
@@ -1604,11 +1605,11 @@ mod tests {
         let bodies = || {
             (0..3u64)
                 .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.snap_write(ObjKey::new(65, 0, 0), 3, i as usize, i + 1);
-                        let view = env.snap_scan::<u64>(ObjKey::new(65, 0, 0), 3);
+                    body(move |env| async move {
+                        env.snap_write(ObjKey::new(65, 0, 0), 3, i as usize, i + 1).await;
+                        let view = env.snap_scan::<u64>(ObjKey::new(65, 0, 0), 3).await;
                         view.into_iter().flatten().sum()
-                    }) as Body
+                    })
                 })
                 .collect()
         };

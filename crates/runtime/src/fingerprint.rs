@@ -71,9 +71,9 @@ pub fn mix(state: u64, word: u64) -> u64 {
 
 /// Folds a memory accumulator and every process's `(observation
 /// fingerprint, liveness flags, result)` triple into one global-state
-/// fingerprint — shared by the gated world's per-pick state hashes and
-/// [`crate::model_world::Snapshot::fingerprint`], so the two execution
-/// engines agree on state identity word for word.
+/// fingerprint — shared by a linear run's per-pick state hashes and
+/// [`crate::model_world::Snapshot::fingerprint`], so the two uses of the
+/// polled engine agree on state identity word for word.
 ///
 /// # The observation quotient
 ///

@@ -8,19 +8,23 @@
 //! It provides:
 //!
 //! * [`world::World`] — the shared-memory interface: keyed registers,
-//!   snapshot objects, test&set, and x-consensus objects;
+//!   snapshot objects, test&set, and x-consensus objects, each an
+//!   operation a process body awaits (one awaited operation is one step);
 //! * [`model_world::ModelWorld`] — a **deterministic, crash-injecting**
-//!   implementation: every virtual process runs on its own thread behind a
-//!   *step gate*, the scheduler grants one shared-memory operation at a
-//!   time (seeded-random, round-robin, or scripted order), and a crash can
-//!   be delivered between any two shared accesses — exactly the failure
-//!   granularity the paper's proofs quantify over (e.g. a simulator
-//!   crashing *inside* `sa_propose` blocks that safe-agreement object).
-//!   Reachable states can be checkpointed as [`model_world::Snapshot`]s
-//!   and resumed one decision at a time on the caller thread — the
-//!   substrate of the exhaustive explorer's frontier search;
+//!   implementation: every virtual process is a body future polled on the
+//!   caller thread, parked by returning `Pending` at each shared-memory
+//!   operation; the scheduler lets one operation run at a time
+//!   (seeded-random, round-robin, or scripted order), and a crash — which
+//!   drops the process's future — can be delivered between any two shared
+//!   accesses: exactly the failure granularity the paper's proofs
+//!   quantify over (e.g. a simulator crashing *inside* `sa_propose`
+//!   blocks that safe-agreement object). Reachable states can be
+//!   checkpointed as [`model_world::Snapshot`]s and resumed one decision
+//!   at a time by the same polled engine — the substrate of the
+//!   exhaustive explorer's frontier search;
 //! * [`thread_world::ThreadWorld`] — a lock-based implementation running at
-//!   full speed on real threads, for benchmarks;
+//!   full speed on real threads, whose operations never park (drive them
+//!   with [`world::block_on`]), for benchmarks;
 //! * [`atomics`] — lock-free/wait-free building blocks on real atomics
 //!   (Afek-et-al-style wait-free snapshot, test&set, CAS consensus),
 //!   benchmarked as experiment E9;
@@ -33,18 +37,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use mpcn_runtime::model_world::{ModelWorld, RunConfig};
+//! use mpcn_runtime::model_world::{body, ModelWorld, RunConfig};
 //! use mpcn_runtime::sched::Schedule;
-//! use mpcn_runtime::world::{Env, ObjKey, World};
+//! use mpcn_runtime::world::ObjKey;
 //!
 //! // Two processes race on a test&set object; exactly one wins.
 //! let cfg = RunConfig::new(2).schedule(Schedule::RandomSeed(7));
 //! let key = ObjKey::new(900, 0, 0);
 //! let bodies = (0..2)
-//!     .map(|_| {
-//!         Box::new(move |env: Env<ModelWorld>| u64::from(env.tas(key)))
-//!             as Box<dyn FnOnce(Env<ModelWorld>) -> u64 + Send>
-//!     })
+//!     .map(|_| body(move |env| async move { u64::from(env.tas(key).await) }))
 //!     .collect();
 //! let report = ModelWorld::run(cfg, bodies);
 //! let wins: u64 = report.decided_values().into_iter().sum();
@@ -65,4 +66,4 @@ pub use explore::{ExploreLimits, ExploreReport, ExploreStats, Explorer, Reductio
 pub use model_world::{Footprint, ModelWorld, Outcome, RunConfig, RunReport, Snapshot};
 pub use program::{SimOp, SimProcess, SimResponse, SimStep, XConsLayout};
 pub use sched::{Crashes, Schedule};
-pub use world::{Env, ObjKey, Pid, World};
+pub use world::{block_on, Env, ObjKey, Pid, World};

@@ -24,7 +24,7 @@
 //! of a small set of concrete types — see [`encode_stored`]. Encoding
 //! tries each supported downcast and tags the variant; decoding rebuilds
 //! the exact original dynamic type, which is what lets a decoded
-//! snapshot's log replay (`ResumeCtl::gate`'s typed downcast) succeed
+//! snapshot's log replay (`Admission::admit`'s typed downcast) succeed
 //! bit-for-bit. A value outside the universe is a hard
 //! [`CodecError::UnsupportedValue`] — extending the universe means adding
 //! a tag here and bumping [`CODEC_VERSION`].
@@ -709,19 +709,18 @@ impl Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Body, ModelWorld};
+    use super::super::{body, Body, ModelWorld};
     use super::*;
-    use crate::world::Env;
 
     fn tiny_bodies() -> Vec<Body> {
         vec![
-            Box::new(|env: Env<ModelWorld>| {
-                env.reg_write(ObjKey::new(40, 0, 0), 7u64);
-                u64::from(env.tas(ObjKey::new(41, 0, 0)))
+            body(|env| async move {
+                env.reg_write(ObjKey::new(40, 0, 0), 7u64).await;
+                u64::from(env.tas(ObjKey::new(41, 0, 0)).await)
             }),
-            Box::new(|env: Env<ModelWorld>| {
-                env.snap_write(ObjKey::new(42, 0, 0), 2, 1, (9u64, 1u8));
-                env.reg_read::<u64>(ObjKey::new(40, 0, 0)).unwrap_or(0)
+            body(|env| async move {
+                env.snap_write(ObjKey::new(42, 0, 0), 2, 1, (9u64, 1u8)).await;
+                env.reg_read::<u64>(ObjKey::new(40, 0, 0)).await.unwrap_or(0)
             }),
         ]
     }
@@ -812,14 +811,14 @@ mod tests {
         // flushing the decoded snapshot moves memory identically.
         let bodies = || -> Vec<Body> {
             vec![
-                Box::new(|env: Env<ModelWorld>| {
-                    env.reg_write(ObjKey::new(50, 0, 0), 3u64);
-                    env.snap_write(ObjKey::new(51, 0, 0), 2, 0, (4u64, 1u8));
+                body(|env| async move {
+                    env.reg_write(ObjKey::new(50, 0, 0), 3u64).await;
+                    env.snap_write(ObjKey::new(51, 0, 0), 2, 0, (4u64, 1u8)).await;
                     0
                 }),
-                Box::new(|env: Env<ModelWorld>| {
-                    env.reg_read::<u64>(ObjKey::new(50, 0, 0)).unwrap_or(9)
-                }),
+                body(
+                    |env| async move { env.reg_read::<u64>(ObjKey::new(50, 0, 0)).await.unwrap_or(9) },
+                ),
             ]
         };
         let body_of = |pid: usize| bodies().into_iter().nth(pid).unwrap();
@@ -847,8 +846,8 @@ mod tests {
         // A register holding a Vec<u64> — hashable (so the model world
         // accepts it) but outside the closed codec universe.
         let bodies = || -> Vec<Body> {
-            vec![Box::new(|env: Env<ModelWorld>| {
-                env.reg_write(ObjKey::new(43, 0, 0), vec![1u64, 2]);
+            vec![body(|env| async move {
+                env.reg_write(ObjKey::new(43, 0, 0), vec![1u64, 2]).await;
                 0
             })]
         };

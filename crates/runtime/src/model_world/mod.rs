@@ -1,9 +1,12 @@
 //! The deterministic, crash-injecting model world.
 //!
-//! [`ModelWorld`] executes a set of virtual processes — arbitrary Rust
-//! closures over [`Env`] — under a *step gate*: every shared-memory
-//! operation first waits for a grant from the scheduler, which issues one
-//! grant at a time. Consequences:
+//! [`ModelWorld`] executes a set of virtual processes — `async` bodies
+//! over [`Env`], built with [`body`] — as futures polled on the caller
+//! thread. Every shared-memory operation a body awaits asks the world
+//! whether it may run; the engine lets one operation run at a time, and
+//! an operation that may not run returns `Poll::Pending`, which parks
+//! the whole body at that **gate**.
+//! Consequences:
 //!
 //! * every operation is an atomic step (linearizability by construction),
 //!   matching the paper's model where processes "execute a sequence of
@@ -14,32 +17,34 @@
 //! * crashes are delivered *instead of* a process's next step, i.e. between
 //!   two shared accesses — so a crash can land in the middle of a
 //!   multi-step protocol (e.g. inside `sa_propose`), which is precisely the
-//!   failure mode the BG-style simulations must tolerate.
+//!   failure mode the BG-style simulations must tolerate. A crash drops
+//!   the process's future at its gate.
 //!
 //! Processes signal decision by returning a `u64` from their body. A run
 //! ends when every process has returned or crashed, or when the step budget
 //! is exhausted (remaining processes are reported [`Outcome::Undecided`] —
 //! used by the boundary experiments to detect forever-blocked simulations).
 //!
-//! Besides the gated [`ModelWorld::run`], the world supports **snapshot
-//! resumption** ([`Snapshot`], [`ModelWorld::resume_from`]): a checkpoint
-//! of shared memory, per-process operation logs (the continuation
-//! cursors), and observation histories, from which a single further step
-//! can be executed *on the caller thread* — no process threads, no
-//! scheduler handshakes. The exhaustive explorer ([`crate::explore`]) is
-//! built on it.
+//! **One polled engine, two uses.** [`ModelWorld::run`] keeps one live
+//! future per process and polls the scheduled one with a budget of one
+//! fresh operation, and keeps no log. **Snapshot
+//! resumption** ([`Snapshot`], [`ModelWorld::resume_from`]) checkpoints
+//! shared memory, per-process operation logs (the continuation cursors)
+//! and observation histories, and executes one further step by building
+//! a fresh future and polling it once against the log. The exhaustive
+//! explorer ([`crate::explore`]) is built on it. Both uses admit an
+//! operation through the same poll (`Admission`), and a real panic in a
+//! body surfaces from that poll as `virtual process {pid} failed: {msg}`.
 //!
-//! **One state record, driven two ways.** The world state — memory, the
-//! memory and observation fingerprints, liveness, results, counters and
-//! store buffers — is declared once, as `WorldState`, together with every
-//! operation, flush, fingerprint and outcome over it. The gated run owns
-//! one behind its thread gate; a snapshot embeds one, and resumption
-//! moves a copy into a resume-mode world and back out. The engines differ
-//! only in how a step is admitted (a scheduler grant vs. log replay), a
-//! difference the typed `Mode` of the world keeps apart; both decode a
-//! choice vector through the one decoder of [`Schedule::Indexed`]. The
-//! engine cross-check (`tests/proptests.rs`) therefore tests the two ways
-//! of driving one record, not two copies of the state.
+//! **One state record.** The world state — memory, the memory and
+//! observation fingerprints, liveness, results, counters and store
+//! buffers — is declared once, as `WorldState`, together with every
+//! operation, flush, fingerprint and outcome over it. A linear run owns
+//! one; a snapshot embeds one, and resumption moves a copy into a polled
+//! world and back out. Both decode a choice vector through the one
+//! decoder of [`Schedule::Indexed`]. The cross-check
+//! (`tests/proptests.rs`) therefore compares a live future against log
+//! replay over one record, not two copies of the state.
 
 pub(crate) mod codec;
 mod snapshot;
@@ -47,49 +52,22 @@ mod snapshot;
 pub use codec::{CodecError, CODEC_VERSION};
 pub use snapshot::Snapshot;
 
-use snapshot::{LogEntry, ResumeCtl};
+use snapshot::LogEntry;
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::Arc;
-use std::time::Duration;
+use std::task::{Context, Poll};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::fingerprint::{fold_state_fp, fp_of, mix, Fnv1a};
 use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
-use crate::world::{Env, MemVal, ObjKey, Pid, Stored, World};
+use crate::world::{noop_waker, Env, MemVal, ObjKey, Pid, Stored, World};
 use std::hash::Hasher;
-
-/// Panic payload used to unwind a crashed virtual process.
-struct CrashSignal;
-
-/// Panic payload used to unwind a resumed process once it has taken its
-/// granted step and parked at its next gate (see [`Snapshot`]).
-struct StopSignal;
-
-/// Silences the default panic report for crash-signal and stop-signal
-/// unwinds (they are the *intended* crash/park mechanisms, not errors);
-/// all other panics keep the previous hook.
-fn install_crash_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let ours = info.payload().downcast_ref::<CrashSignal>().is_some()
-                || info.payload().downcast_ref::<StopSignal>().is_some();
-            if !ours {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// How long the scheduler waits for a granted process to complete one step
-/// before declaring the harness wedged (indicates a bug in a process body,
-/// e.g. an infinite local loop that never touches shared memory).
-const STEP_GRANT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Final status of one virtual process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,11 +91,11 @@ impl Outcome {
     }
 }
 
-/// Result of a run: a gated [`ModelWorld::run`], or the path to a
+/// Result of a run: a linear [`ModelWorld::run`], or the path to a
 /// [`Snapshot`] ([`Snapshot::report`]). Both build the outcomes, step
 /// count and op accounting from the same world-state record, so the two
-/// engines report a schedule identically; only the gated run can add
-/// the opt-in path recordings (`trace`, `state_hashes`).
+/// report a schedule identically; only the linear run can add the
+/// opt-in path recordings (`trace`, `state_hashes`).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-process outcome, indexed by [`Pid`].
@@ -289,7 +267,7 @@ impl RunConfig {
     /// discipline. Off by default — SC runs are byte-identical to the
     /// pre-TSO engine.
     ///
-    /// Gated TSO runs require an [`crate::sched::Schedule::Indexed`]
+    /// Linear TSO runs require an [`crate::sched::Schedule::Indexed`]
     /// policy (no other policy can schedule flushes); the exhaustive
     /// explorer enumerates flush branches natively
     /// (`crate::explore::Explorer::tso`).
@@ -309,8 +287,24 @@ impl RunConfig {
     }
 }
 
-/// A process body: runs with an [`Env`] handle and returns its decision.
-pub type Body = Box<dyn FnOnce(Env<ModelWorld>) -> u64 + Send>;
+/// A process body: given its [`Env`] handle, builds the future an engine
+/// polls; the future's output is the process's decision. Build one with
+/// [`body`].
+pub type Body = Box<dyn FnOnce(Env<ModelWorld>) -> BodyFuture + Send>;
+
+/// The future of one running process body. It is polled only on the
+/// thread that built it, so it need not be `Send`.
+pub type BodyFuture = Pin<Box<dyn Future<Output = u64>>>;
+
+/// Boxes an async process body:
+/// `body(move |env| async move { env.tas(key).await.into() })`.
+pub fn body<F, Fut>(f: F) -> Body
+where
+    F: FnOnce(Env<ModelWorld>) -> Fut + Send + 'static,
+    Fut: Future<Output = u64> + 'static,
+{
+    Box::new(move |env| Box::pin(f(env)))
+}
 
 /// A program's declaration that it is **pid-symmetric**: permuting the
 /// process identities yields an automorphism of its transition system, so
@@ -411,11 +405,11 @@ impl Object {
 }
 
 /// The world state both engines move, and the only place it is declared:
-/// a [`Snapshot`] embeds one, and the gated [`ModelWorld::run`] owns one
-/// behind its step gate. Every operation, flush, crash and outcome is
-/// defined once, here, over this record; the two engines differ only in
-/// how they drive it (threads behind a gate vs. log replay on the caller
-/// thread).
+/// a [`Snapshot`] embeds one, and a linear [`ModelWorld::run`] owns one.
+/// Every operation, flush, crash and outcome is defined once, here, over
+/// this record; the two uses of the polled engine differ only in where a
+/// body's future comes from (a live future vs. one rebuilt and replayed
+/// from its log).
 #[derive(Debug, Clone, Default)]
 struct WorldState {
     /// Shared memory.
@@ -436,8 +430,8 @@ struct WorldState {
     obs_fp: Vec<u64>,
     /// The process returned (its value is in `results`).
     finished: Vec<bool>,
-    /// The process was crashed by the adversary. (The gated engine's
-    /// timeout sweep unwinds blocked processes without setting this: they
+    /// The process was crashed by the adversary. (A timed-out linear run
+    /// drops blocked processes' futures without setting this: they
     /// report [`Outcome::Undecided`].)
     crashed: Vec<bool>,
     results: Vec<Option<u64>>,
@@ -669,7 +663,7 @@ impl WorldState {
     /// and back in after the access, and a freshly defaulted object is
     /// XORed in — so `mem_fp` always equals the full-map walk without
     /// ever recomputing it (asserted per pick in debug builds by the
-    /// gated run's state hashes).
+    /// linear run's state hashes).
     fn with_obj<R>(
         &mut self,
         key: ObjKey,
@@ -818,43 +812,107 @@ impl WorldState {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Permit {
-    Idle,
-    Granted,
-    Crash,
+/// How the polled engines admit the operations of the one process they
+/// are polling: replay its log, run its granted fresh operations, and
+/// park it at the next one.
+struct Admission {
+    /// The process being polled; no other body runs during its poll.
+    pid: Pid,
+    /// Its operation log: the first `replay` entries come from a
+    /// snapshot (none for a live future, which has already run past
+    /// every operation it completed), and executed operations are
+    /// appended when `extend_log` is set.
+    log: Vec<LogEntry>,
+    /// Logged entries to replay before any operation runs.
+    replay: usize,
+    /// Log entries replayed so far (the continuation cursor).
+    cursor: usize,
+    /// Fresh operations this poll may execute before parking (0 = probe
+    /// to the first gate).
+    budget: usize,
+    /// Fresh operations executed this poll.
+    executed: usize,
+    /// Append executed operations to `log` (snapshot resume; a linear
+    /// run keeps no log).
+    extend_log: bool,
+    /// Footprint of the operation the body parked at, once it did.
+    parked: Option<Footprint>,
 }
 
-/// The thread gate of a gated run: everything only the scheduler and the
-/// process threads exchange.
-struct Gate {
-    permits: Vec<Permit>,
-    /// Process is parked at its gate, ready to take a granted step. The
-    /// scheduler only picks among *settled* processes (waiting, finished
-    /// or unwound), which makes the alive set — and hence branch degrees
-    /// and traces — deterministic instead of racing with finish
-    /// recording.
-    waiting: Vec<bool>,
-    /// The granted process completed its operation.
-    op_done: bool,
-    /// The process thread unwound: by an adversary crash, by the timeout
-    /// sweep, or by a real panic.
-    unwound: Vec<bool>,
-    failures: Vec<(Pid, String)>,
-    trace: Vec<Pid>,
+/// What [`ModelWorld::poll_op`] does with an operation of the polled
+/// process.
+enum Admit<R> {
+    /// Answered from the log: return this value, execute nothing.
+    Replayed(R),
+    /// A granted fresh operation: execute it.
+    Fresh,
+    /// The budget is spent: the process parks here.
+    Park,
 }
 
-/// How [`ModelWorld::step`] treats an operation.
+impl Admission {
+    /// Polls `pid` along `log` with `budget` fresh operations, appending
+    /// them to the log (`extend_log`) or not.
+    fn new(pid: Pid, log: Vec<LogEntry>, budget: usize, extend_log: bool) -> Self {
+        let replay = log.len();
+        Admission { pid, log, replay, cursor: 0, budget, executed: 0, extend_log, parked: None }
+    }
+
+    /// Classifies `pid`'s operation `footprint` against the log and the
+    /// budget, recording the footprint when the process parks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body diverges from its recorded log (a
+    /// nondeterministic process body, disallowed by the model) or if a
+    /// process other than the polled one issues the operation.
+    fn admit<R: Clone + 'static>(&mut self, pid: Pid, footprint: Footprint) -> Admit<R> {
+        assert_eq!(pid, self.pid, "a poll executes only the polled process");
+        if self.cursor < self.replay {
+            let entry = &self.log[self.cursor];
+            assert!(
+                entry.op == footprint.op && entry.key == footprint.key,
+                "nondeterministic process body: replay step {} issued op {} on {}, \
+                 log records op {} on {}",
+                self.cursor,
+                footprint.op,
+                footprint.key,
+                entry.op,
+                entry.key
+            );
+            self.cursor += 1;
+            let out = entry
+                .result
+                .downcast_ref::<R>()
+                .expect("nondeterministic process body: replayed result type changed")
+                .clone();
+            return Admit::Replayed(out);
+        }
+        if self.executed < self.budget {
+            Admit::Fresh
+        } else {
+            self.parked = Some(footprint);
+            Admit::Park
+        }
+    }
+
+    /// Accounts one executed fresh operation that returned `out`.
+    fn record<R: MemVal>(&mut self, footprint: Footprint, out: &R) {
+        self.executed += 1;
+        if self.extend_log {
+            self.log.push(LogEntry::new(footprint.op, footprint.key, Arc::new(out.clone())));
+        }
+    }
+}
+
+/// How [`ModelWorld::poll_op`] treats an operation.
 enum Mode {
-    /// No scheduler: every op proceeds immediately (direct unit tests of
-    /// object semantics).
+    /// No engine: every op proceeds immediately (direct unit tests of
+    /// object semantics, through [`crate::world::block_on`]).
     Free,
-    /// [`ModelWorld::run`]: every op waits for the scheduler's grant.
-    Gated(Gate),
-    /// One process is driven from a [`Snapshot`] on the caller thread:
-    /// its operation log is replayed and exactly the granted fresh
-    /// operations execute (see [`snapshot`]).
-    Resume(ResumeCtl),
+    /// A polled engine — [`ModelWorld::run`] or snapshot resume — admits
+    /// the polled process's operations (see [`Admission`]).
+    Polled(Admission),
 }
 
 /// Everything behind a [`ModelWorld`]'s lock: the world state and how
@@ -864,34 +922,18 @@ struct State {
     mode: Mode,
 }
 
-impl State {
-    /// The thread gate (gated runs only).
-    fn gate(&mut self) -> &mut Gate {
-        match &mut self.mode {
-            Mode::Gated(gate) => gate,
-            _ => unreachable!("only gated runs have a thread gate"),
-        }
-    }
-}
-
-struct Inner {
-    st: Mutex<State>,
-    proc_cvs: Vec<Condvar>,
-    sched_cv: Condvar,
-}
-
-/// The deterministic gated world. Cheap to clone (shared handle).
+/// The deterministic model world. Cheap to clone (shared handle).
 ///
 /// See the [module docs](self) for the execution model, and
 /// [`ModelWorld::run`] for the entry point.
 #[derive(Clone)]
 pub struct ModelWorld {
-    inner: Arc<Inner>,
+    st: Arc<Mutex<State>>,
 }
 
 impl std::fmt::Debug for ModelWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.st.lock();
+        let st = self.st.lock();
         f.debug_struct("ModelWorld")
             .field("n", &st.world.n())
             .field("objects", &st.world.objects.len())
@@ -900,98 +942,121 @@ impl std::fmt::Debug for ModelWorld {
     }
 }
 
+/// The future of one shared-memory operation ([`ModelWorld::step`]).
+struct Step<'w, F> {
+    world: &'w ModelWorld,
+    pid: Pid,
+    footprint: Footprint,
+    /// The operation, taken when it executes.
+    op: Option<F>,
+}
+
+// `op` is never pinned: a poll moves it out to run it.
+impl<F> Unpin for Step<'_, F> {}
+
+impl<R: MemVal, F: FnOnce(&mut WorldState) -> R> Future for Step<'_, F> {
+    type Output = R;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<R> {
+        let step = self.get_mut();
+        step.world.poll_op(step.pid, step.footprint, &mut step.op)
+    }
+}
+
+/// Polls process `pid`'s body future once on the caller thread. A real
+/// panic in the body — an algorithm bug — is caught here, the one place
+/// either engine polls, and surfaces as `virtual process {pid} failed`.
+fn poll_body(pid: Pid, fut: &mut BodyFuture) -> Poll<u64> {
+    let waker = noop_waker();
+    let mut cx = Context::from_waker(&waker);
+    match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+        Ok(polled) => polled,
+        Err(payload) => panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref())),
+    }
+}
+
 impl ModelWorld {
     fn with_state(world: WorldState, mode: Mode) -> Self {
-        let cvs = match &mode {
-            Mode::Gated(gate) => gate.permits.len(),
-            Mode::Free | Mode::Resume(_) => 0,
-        };
-        ModelWorld {
-            inner: Arc::new(Inner {
-                st: Mutex::new(State { world, mode }),
-                proc_cvs: (0..cvs).map(|_| Condvar::new()).collect(),
-                sched_cv: Condvar::new(),
-            }),
-        }
+        ModelWorld { st: Arc::new(Mutex::new(State { world, mode })) }
     }
 
     /// A world with no scheduler: every operation proceeds immediately.
     ///
-    /// Only for single-threaded unit tests of object semantics; concurrent
-    /// use would be linearizable (each op still runs under the world lock)
-    /// but not deterministic.
+    /// Only for single-threaded unit tests of object semantics, driven
+    /// by [`crate::world::block_on`]; concurrent use would be
+    /// linearizable (each op still runs under the world lock) but not
+    /// deterministic.
     pub fn new_free(n: usize) -> Self {
         ModelWorld::with_state(WorldState::new(n, false, false, false), Mode::Free)
     }
 
-    /// Runs `bodies` (one per process) to completion under `cfg`.
+    /// Polls `pid`'s body `fut` once under `admission`: it replays the
+    /// admission's log, executes up to its budget of fresh operations,
+    /// and parks at the next one (`Pending`) — or returns its decision.
+    /// Returns the poll and the admission, which says what happened.
+    fn poll_process(&self, admission: Admission, fut: &mut BodyFuture) -> (Poll<u64>, Admission) {
+        let pid = admission.pid;
+        self.st.lock().mode = Mode::Polled(admission);
+        let polled = poll_body(pid, fut);
+        let Mode::Polled(admission) = std::mem::replace(&mut self.st.lock().mode, Mode::Free)
+        else {
+            unreachable!("a polled world stays polled")
+        };
+        (polled, admission)
+    }
+
+    /// Runs `bodies` (one per process) to completion under `cfg`: the
+    /// **linear engine**.
+    ///
+    /// Every process is one live body future on the caller thread. Each
+    /// is first polled to its first gate (its first shared operation,
+    /// where it returns `Pending`); then the scheduler repeatedly picks
+    /// a process and polls it with a budget of one fresh operation — the
+    /// operation it is parked at runs, and the body runs on to its next
+    /// gate or returns. A crash drops the process's future at its gate.
     ///
     /// Returns when every process has decided or crashed, or when the step
-    /// budget is exhausted (then the remaining processes are reported
-    /// [`Outcome::Undecided`] and [`RunReport::timed_out`] is set).
+    /// budget is exhausted (then the remaining futures are dropped, those
+    /// processes are reported [`Outcome::Undecided`] and
+    /// [`RunReport::timed_out`] is set).
     ///
     /// # Panics
     ///
     /// Panics if `bodies.len() != cfg.n()`, or if any process body panics
-    /// with anything other than the internal crash signal (i.e. a real bug
-    /// in an algorithm under test).
+    /// (a real bug in an algorithm under test), as `virtual process {pid}
+    /// failed: {msg}`.
     pub fn run(cfg: RunConfig, bodies: Vec<Body>) -> RunReport {
         assert_eq!(bodies.len(), cfg.n(), "one body per process required");
         assert!(
             !cfg.tso || matches!(cfg.schedule, Schedule::Indexed { .. }),
-            "TSO gated runs require Schedule::Indexed (no other policy schedules flushes)"
+            "TSO runs require Schedule::Indexed (no other policy schedules flushes)"
         );
-        install_crash_hook();
         let n = cfg.n();
-        let gate = Gate {
-            permits: vec![Permit::Idle; n],
-            waiting: vec![false; n],
-            op_done: false,
-            unwound: vec![false; n],
-            failures: Vec::new(),
-            trace: Vec::new(),
-        };
         let state = WorldState::new(n, cfg.record_state_hashes, cfg.view_summaries, cfg.tso);
-        let world = ModelWorld::with_state(state, Mode::Gated(gate));
+        let world = ModelWorld::with_state(state, Mode::Free);
+        // Each process's live future, `None` once it returned or crashed.
+        let mut procs: Vec<Option<BodyFuture>> = Vec::with_capacity(n);
+        for (pid, body) in bodies.into_iter().enumerate() {
+            let mut fut = body(Env::new(world.clone(), pid));
+            let probe = Admission::new(pid, Vec::new(), 0, false);
+            match world.poll_process(probe, &mut fut).0 {
+                Poll::Ready(v) => {
+                    world.st.lock().world.finish(pid, v);
+                    procs.push(None);
+                }
+                Poll::Pending => procs.push(Some(fut)),
+            }
+        }
         let mut sched = ScheduleState::new(cfg.schedule.clone());
         let mut crash = CrashState::new(cfg.crashes.clone());
-
-        let handles: Vec<_> = bodies
-            .into_iter()
-            .enumerate()
-            .map(|(pid, body)| {
-                let w = world.clone();
-                std::thread::Builder::new()
-                    .name(format!("mpcn-proc-{pid}"))
-                    .spawn(move || w.drive(pid, body))
-                    .expect("spawn virtual process thread")
-            })
-            .collect();
-
         let mut picks: usize = 0;
         let mut timed_out = false;
+        let mut trace: Vec<Pid> = Vec::new();
         let mut state_hashes: Vec<u64> = Vec::new();
         loop {
             let (alive, flushable, steps) = {
-                // Wait until every process is settled (parked at its gate,
-                // finished, or unwound): the alive set is then a pure
-                // function of the schedule prefix, so runs are replayable.
-                let mut st = world.inner.st.lock();
-                loop {
-                    let Mode::Gated(gate) = &st.mode else {
-                        unreachable!("run drives a gated world");
-                    };
-                    if (0..n).all(|p| gate.waiting[p] || st.world.finished[p] || gate.unwound[p]) {
-                        break;
-                    }
-                    if world.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
-                        panic!(
-                            "a virtual process did not settle within {STEP_GRANT_TIMEOUT:?} (runaway local loop?)"
-                        );
-                    }
-                }
-                // The state reached by the previous pick, now that its
-                // effects are settled.
+                let st = world.st.lock();
+                // The state reached by the previous pick.
                 if cfg.record_state_hashes && picks > state_hashes.len() {
                     debug_assert_eq!(
                         st.world.mem_fp,
@@ -1009,9 +1074,6 @@ impl ModelWorld {
             }
             if steps >= cfg.max_steps {
                 timed_out = true;
-                for p in alive {
-                    world.deliver_crash(p);
-                }
                 break;
             }
             picks += 1;
@@ -1020,173 +1082,92 @@ impl ModelWorld {
             // the crash policy decides, as always.
             let (pid, crashes_now) = match sched.pick(&alive, n, &flushable) {
                 Pick::Flush(p) => {
-                    world.inner.st.lock().world.flush_step(p);
+                    world.st.lock().world.flush_step(p);
                     continue;
                 }
                 Pick::Crash(p) => (p, crash.force_crash()),
                 Pick::Op(p) => {
-                    let own = world.inner.st.lock().world.own_steps[p];
+                    let own = world.st.lock().world.own_steps[p];
                     (p, crash.should_crash(p, own))
                 }
             };
             if crashes_now {
-                world.inner.st.lock().world.crashed[pid] = true;
-                world.deliver_crash(pid);
-            } else {
-                world.grant(pid, cfg.record_trace);
+                world.st.lock().world.crashed[pid] = true;
+                procs[pid] = None;
+                continue;
+            }
+            let fut = procs[pid].as_mut().expect("an alive process has a live future");
+            let grant = Admission::new(pid, Vec::new(), 1, false);
+            let (polled, grant) = world.poll_process(grant, fut);
+            debug_assert_eq!(grant.executed, 1, "a granted poll executes exactly one operation");
+            if cfg.record_trace {
+                trace.push(pid);
+            }
+            if let Poll::Ready(v) = polled {
+                world.st.lock().world.finish(pid, v);
+                procs[pid] = None;
             }
         }
-
-        for h in handles {
-            h.join().expect("virtual process thread never panics (crashes are caught)");
-        }
-
-        let mut st = world.inner.st.lock();
-        let gate = st.gate();
-        if let Some((pid, msg)) = gate.failures.first() {
-            panic!("virtual process {pid} failed: {msg}");
-        }
-        let trace = cfg.record_trace.then(|| std::mem::take(&mut gate.trace));
+        // A timed-out run drops every alive process's future at its gate.
+        drop(procs);
         debug_assert!(
             !cfg.record_state_hashes || timed_out || state_hashes.len() == picks,
             "one state fingerprint per pick ({} hashes, {picks} picks)",
             state_hashes.len()
         );
+        let st = world.st.lock();
         RunReport {
-            trace,
+            trace: cfg.record_trace.then_some(trace),
             state_hashes: cfg.record_state_hashes.then_some(state_hashes),
             ..st.world.report(timed_out)
         }
     }
 
-    /// Thread body for one virtual process.
-    fn drive(&self, pid: Pid, body: Body) {
-        let env = Env::new(self.clone(), pid);
-        let result = catch_unwind(AssertUnwindSafe(move || body(env)));
-        let mut st = self.inner.st.lock();
-        match result {
-            Ok(v) => st.world.finish(pid, v),
-            Err(payload) => {
-                if payload.downcast_ref::<CrashSignal>().is_none() {
-                    let msg = panic_message(payload.as_ref());
-                    st.gate().failures.push((pid, msg));
-                    // The failed process leaves the schedule; the run
-                    // reports the failure once every thread has joined.
-                    st.world.crashed[pid] = true;
-                }
-                st.gate().unwound[pid] = true;
-            }
-        }
-        self.inner.sched_cv.notify_one();
-    }
-
-    /// Grants one step to `pid` and waits until it completed the step —
-    /// or finished or unwound while granted.
-    fn grant(&self, pid: Pid, record_trace: bool) {
-        let mut st = self.inner.st.lock();
-        st.gate().permits[pid] = Permit::Granted;
-        self.inner.proc_cvs[pid].notify_one();
-        loop {
-            let finished = st.world.finished[pid];
-            let gate = st.gate();
-            if gate.op_done {
-                gate.op_done = false;
-                if record_trace {
-                    gate.trace.push(pid);
-                }
-                return;
-            }
-            if finished || gate.unwound[pid] {
-                gate.permits[pid] = Permit::Idle;
-                return;
-            }
-            if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
-                panic!("virtual process {pid} did not take its granted step within {STEP_GRANT_TIMEOUT:?} (runaway local loop?)");
-            }
-        }
-    }
-
-    /// Crashes `pid`: the process unwinds at its next (or pending) gate.
-    fn deliver_crash(&self, pid: Pid) {
-        let mut st = self.inner.st.lock();
-        st.gate().permits[pid] = Permit::Crash;
-        self.inner.proc_cvs[pid].notify_one();
-        while !st.gate().unwound[pid] && !st.world.finished[pid] {
-            if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
-                panic!(
-                    "virtual process {pid} did not acknowledge crash within {STEP_GRANT_TIMEOUT:?}"
-                );
-            }
-        }
-    }
-
-    /// Performs one shared-memory step of `pid`.
+    /// One shared-memory operation of `pid`: a future whose every poll
+    /// asks the world whether the operation may run.
     ///
-    /// In the gated mode this waits for the scheduler's grant, runs `op`
-    /// on the world state (object map + fingerprint bookkeeping), and
-    /// signals completion. `footprint` describes the operation's
-    /// dependency surface (object, cell granularity, purity — published
-    /// while parked, for the explorer's reductions).
-    ///
-    /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
-    /// are answered from the recorded log without executing `op`; the
-    /// granted fresh operations execute and are appended to the log; one
-    /// operation past the budget unwinds with [`StopSignal`] — the
-    /// process is then parked at its next gate, footprint recorded.
+    /// `footprint` describes the operation's dependency surface (object,
+    /// cell granularity, purity). In the free mode `op` runs at once. In
+    /// the polled mode the [`Admission`] decides: a logged operation
+    /// returns its logged value without executing `op`; a granted fresh
+    /// operation runs `op` on the world state (and is logged when the
+    /// poll extends a snapshot's log); past the budget the operation
+    /// records its footprint and returns `Pending` — the process is
+    /// parked at this gate until the engine polls it again or drops it.
     ///
     /// Every executed operation is accounted to its process and its
     /// object-kind namespace, in every mode.
-    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut WorldState) -> R) -> R
+    fn step<R, F>(&self, pid: Pid, footprint: Footprint, op: F) -> Step<'_, F>
     where
-        R: Clone + Send + Sync + 'static,
+        R: MemVal,
+        F: FnOnce(&mut WorldState) -> R,
     {
-        let key = footprint.key;
-        let mut st = self.inner.st.lock();
-        match &mut st.mode {
-            Mode::Free => {}
-            Mode::Resume(ctl) => match ctl.gate::<R>(pid, footprint.op, key) {
-                snapshot::ResumeGate::Replayed(out) => return out,
-                snapshot::ResumeGate::Park => {
-                    ctl.park_at(footprint);
-                    drop(st);
-                    std::panic::panic_any(StopSignal);
-                }
-                snapshot::ResumeGate::Fresh => {}
-            },
-            Mode::Gated(gate) => {
-                gate.waiting[pid] = true;
-                self.inner.sched_cv.notify_one();
-                loop {
-                    let gate = st.gate();
-                    match gate.permits[pid] {
-                        Permit::Granted => {
-                            gate.permits[pid] = Permit::Idle;
-                            gate.waiting[pid] = false;
-                            break;
-                        }
-                        Permit::Crash => {
-                            gate.waiting[pid] = false;
-                            drop(st);
-                            std::panic::panic_any(CrashSignal);
-                        }
-                        Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
-                    }
-                }
+        Step { world: self, pid, footprint, op: Some(op) }
+    }
+
+    /// One poll of a [`ModelWorld::step`] future.
+    fn poll_op<R: MemVal>(
+        &self,
+        pid: Pid,
+        footprint: Footprint,
+        op: &mut Option<impl FnOnce(&mut WorldState) -> R>,
+    ) -> Poll<R> {
+        let mut guard = self.st.lock();
+        let State { world, mode } = &mut *guard;
+        if let Mode::Polled(admission) = mode {
+            match admission.admit::<R>(pid, footprint) {
+                Admit::Replayed(out) => return Poll::Ready(out),
+                Admit::Park => return Poll::Pending,
+                Admit::Fresh => {}
             }
         }
-        let out = op(&mut st.world);
-        st.world.count_op(pid, key.kind);
-        match &mut st.mode {
-            Mode::Free => {}
-            Mode::Resume(ctl) => {
-                ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())));
-            }
-            Mode::Gated(gate) => {
-                gate.op_done = true;
-                self.inner.sched_cv.notify_one();
-            }
+        let op = op.take().expect("an operation runs once");
+        let out = op(world);
+        world.count_op(pid, footprint.key.kind);
+        if let Mode::Polled(admission) = mode {
+            admission.record(footprint, &out);
         }
-        out
+        Poll::Ready(out)
     }
 }
 
@@ -1239,19 +1220,19 @@ fn scan_cells<T: MemVal>(w: &mut WorldState, pid: Pid, key: ObjKey, len: usize) 
 }
 
 impl World for ModelWorld {
-    fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) {
-        self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |w| {
+    fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) -> impl Future<Output = ()> {
+        self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), move |w| {
             let cell = Cell::new(val, w.track);
             let fp = cell.fp;
             w.write(pid, BufferedWrite { key, cell_idx: None, len: 0, cell });
             if w.track {
                 w.observe(pid, OP_REG_WRITE, key, fp);
             }
-        });
+        })
     }
 
-    fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> Option<T> {
-        self.step(pid, Footprint::new(OP_REG_READ, key, None, true), |w| {
+    fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> impl Future<Output = Option<T>> {
+        self.step(pid, Footprint::new(OP_REG_READ, key, None, true), move |w| {
             let mut out = w.with_obj(
                 key,
                 || Object::Register(None),
@@ -1278,20 +1259,32 @@ impl World for ModelWorld {
         })
     }
 
-    fn snap_write<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
+    fn snap_write<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        len: usize,
+        idx: usize,
+        val: T,
+    ) -> impl Future<Output = ()> {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
-        self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |w| {
+        self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), move |w| {
             let cell = Cell::new(val, w.track);
             let fp = cell.fp;
             w.write(pid, BufferedWrite { key, cell_idx: Some(idx), len, cell });
             if w.track {
                 w.observe(pid, OP_SNAP_WRITE, key, mix(idx as u64, fp));
             }
-        });
+        })
     }
 
-    fn snap_scan<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |w| {
+    fn snap_scan<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        len: usize,
+    ) -> impl Future<Output = Vec<Option<T>>> {
+        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |w| {
             let out: Vec<Option<T>> = scan_cells(w, pid, key, len);
             if w.track {
                 w.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
@@ -1317,8 +1310,8 @@ impl World for ModelWorld {
         key: ObjKey,
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
-    ) -> S {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |w| {
+    ) -> impl Future<Output = S> {
+        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |w| {
             let raw: Vec<Option<T>> = scan_cells(w, pid, key, len);
             let out = summarize(&raw);
             if w.track {
@@ -1329,26 +1322,28 @@ impl World for ModelWorld {
         })
     }
 
-    fn fence(&self, pid: Pid) {
+    fn fence(&self, pid: Pid) -> impl Future<Output = ()> {
         // Under SC a fence is free: no gate, no step, no trace or log
         // effect — the default-noop contract of [`World::fence`]. The
         // check reads the fixed `tso` mode flag only (never buffer
         // contents), so whether a fence gates is a pure function of the
         // run mode and log replay stays deterministic.
-        if !self.inner.st.lock().world.tso {
-            return;
-        }
+        let tso = self.st.lock().world.tso;
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
-        self.step(pid, Footprint::new(OP_FENCE, key, None, false), |w| {
+        let mut drain = tso.then_some(move |w: &mut WorldState| {
             w.drain_buffer(pid);
             if w.track {
                 w.observe(pid, OP_FENCE, key, 0);
             }
         });
+        std::future::poll_fn(move |_| match drain {
+            None => Poll::Ready(()),
+            Some(_) => self.poll_op(pid, Footprint::new(OP_FENCE, key, None, false), &mut drain),
+        })
     }
 
-    fn tas(&self, pid: Pid, key: ObjKey) -> bool {
-        self.step(pid, Footprint::new(OP_TAS, key, None, false), |w| {
+    fn tas(&self, pid: Pid, key: ObjKey) -> impl Future<Output = bool> {
+        self.step(pid, Footprint::new(OP_TAS, key, None, false), move |w| {
             // x86-TSO: a LOCK'd RMW drains the issuing process's buffer
             // as part of its atomic step (a no-op under SC).
             w.drain_buffer(pid);
@@ -1371,12 +1366,18 @@ impl World for ModelWorld {
         })
     }
 
-    fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
+    fn xcons_propose<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        ports: &[Pid],
+        val: T,
+    ) -> impl Future<Output = T> {
         assert!(
             ports.contains(&pid),
             "process {pid} is not a port of consensus object {key} (ports {ports:?})"
         );
-        self.step(pid, Footprint::new(OP_XCONS, key, None, false), |w| {
+        self.step(pid, Footprint::new(OP_XCONS, key, None, false), move |w| {
             // LOCK'd RMW under x86-TSO — see `tas`.
             w.drain_buffer(pid);
             let track = w.track;
@@ -1407,10 +1408,8 @@ impl World for ModelWorld {
 mod tests {
     use super::*;
     use crate::sched::{Crashes, Schedule};
-
-    fn body(f: impl FnOnce(Env<ModelWorld>) -> u64 + Send + 'static) -> Body {
-        Box::new(f)
-    }
+    use crate::world::block_on;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const REG: ObjKey = ObjKey::new(1, 0, 0);
     const SNAP: ObjKey = ObjKey::new(2, 0, 0);
@@ -1420,80 +1419,80 @@ mod tests {
     #[test]
     fn free_world_register_semantics() {
         let w = ModelWorld::new_free(1);
-        assert_eq!(w.reg_read::<u64>(0, REG), None);
-        w.reg_write(0, REG, 17u64);
-        assert_eq!(w.reg_read::<u64>(0, REG), Some(17));
-        w.reg_write(0, REG, 18u64);
-        assert_eq!(w.reg_read::<u64>(0, REG), Some(18));
+        assert_eq!(block_on(w.reg_read::<u64>(0, REG)), None);
+        block_on(w.reg_write(0, REG, 17u64));
+        assert_eq!(block_on(w.reg_read::<u64>(0, REG)), Some(17));
+        block_on(w.reg_write(0, REG, 18u64));
+        assert_eq!(block_on(w.reg_read::<u64>(0, REG)), Some(18));
     }
 
     #[test]
     fn free_world_snapshot_semantics() {
         let w = ModelWorld::new_free(2);
-        assert_eq!(w.snap_scan::<u64>(0, SNAP, 3), vec![None, None, None]);
-        w.snap_write(0, SNAP, 3, 0, 5u64);
-        w.snap_write(1, SNAP, 3, 2, 7u64);
-        assert_eq!(w.snap_scan::<u64>(1, SNAP, 3), vec![Some(5), None, Some(7)]);
+        assert_eq!(block_on(w.snap_scan::<u64>(0, SNAP, 3)), vec![None, None, None]);
+        block_on(w.snap_write(0, SNAP, 3, 0, 5u64));
+        block_on(w.snap_write(1, SNAP, 3, 2, 7u64));
+        assert_eq!(block_on(w.snap_scan::<u64>(1, SNAP, 3)), vec![Some(5), None, Some(7)]);
     }
 
     #[test]
     fn free_world_tas_once() {
         let w = ModelWorld::new_free(2);
-        assert!(w.tas(0, TAS));
-        assert!(!w.tas(1, TAS));
-        assert!(!w.tas(0, TAS));
+        assert!(block_on(w.tas(0, TAS)));
+        assert!(!block_on(w.tas(1, TAS)));
+        assert!(!block_on(w.tas(0, TAS)));
     }
 
     #[test]
     fn free_world_xcons_agreement_and_ports() {
         let w = ModelWorld::new_free(3);
         let ports = vec![0usize, 2];
-        assert_eq!(w.xcons_propose(0, CONS, &ports, 40u64), 40);
-        assert_eq!(w.xcons_propose(2, CONS, &ports, 41u64), 40);
+        assert_eq!(block_on(w.xcons_propose(0, CONS, &ports, 40u64)), 40);
+        assert_eq!(block_on(w.xcons_propose(2, CONS, &ports, 41u64)), 40);
     }
 
     #[test]
     #[should_panic(expected = "not a port")]
     fn xcons_rejects_non_port() {
         let w = ModelWorld::new_free(3);
-        w.xcons_propose(1, CONS, &[0, 2], 1u64);
+        block_on(w.xcons_propose(1, CONS, &[0, 2], 1u64));
     }
 
     #[test]
     #[should_panic(expected = "inconsistent port sets")]
     fn xcons_rejects_port_mutation() {
         let w = ModelWorld::new_free(3);
-        w.xcons_propose(0, CONS, &[0, 2], 1u64);
-        w.xcons_propose(1, CONS, &[0, 1], 2u64);
+        block_on(w.xcons_propose(0, CONS, &[0, 2], 1u64));
+        block_on(w.xcons_propose(1, CONS, &[0, 1], 2u64));
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn register_type_mismatch_panics() {
         let w = ModelWorld::new_free(1);
-        w.reg_write(0, REG, 1u64);
-        let _: Option<String> = w.reg_read(0, REG);
+        block_on(w.reg_write(0, REG, 1u64));
+        let _: Option<String> = block_on(w.reg_read(0, REG));
     }
 
     #[test]
     #[should_panic(expected = "is not a register")]
     fn object_kind_mismatch_panics() {
         let w = ModelWorld::new_free(1);
-        w.tas(0, REG);
-        w.reg_write(0, REG, 1u64);
+        block_on(w.tas(0, REG));
+        block_on(w.reg_write(0, REG, 1u64));
     }
 
     #[test]
     fn worlds_larger_than_64_processes_run_without_decision_recording() {
-        // Gated runs have no process-count bound (regression: a 64-bit
+        // Linear runs have no process-count bound (regression: a 64-bit
         // per-decision reads mask used to shift by pid unconditionally).
         let n = 65;
         let cfg = RunConfig::new(n).schedule(Schedule::RoundRobin);
         let bodies = (0..n)
             .map(|i| {
-                body(move |env| {
-                    env.reg_write(ObjKey::new(11, i as u64, 0), 1u64);
-                    env.reg_read::<u64>(ObjKey::new(11, i as u64, 0)).unwrap()
+                body(move |env| async move {
+                    env.reg_write(ObjKey::new(11, i as u64, 0), 1u64).await;
+                    env.reg_read::<u64>(ObjKey::new(11, i as u64, 0)).await.unwrap()
                 })
             })
             .collect();
@@ -1506,9 +1505,9 @@ mod tests {
         let cfg = RunConfig::new(3).schedule(Schedule::RandomSeed(1));
         let bodies = (0..3)
             .map(|i| {
-                body(move |env| {
-                    env.reg_write(ObjKey::new(10, i, 0), i);
-                    env.reg_read::<u64>(ObjKey::new(10, i, 0)).unwrap()
+                body(move |env| async move {
+                    env.reg_write(ObjKey::new(10, i, 0), i).await;
+                    env.reg_read::<u64>(ObjKey::new(10, i, 0)).await.unwrap()
                 })
             })
             .collect();
@@ -1523,7 +1522,9 @@ mod tests {
     fn scheduled_tas_exactly_one_winner() {
         for seed in 0..20 {
             let cfg = RunConfig::new(4).schedule(Schedule::RandomSeed(seed));
-            let bodies = (0..4).map(|_| body(move |env| u64::from(env.tas(TAS)))).collect();
+            let bodies = (0..4)
+                .map(|_| body(move |env| async move { u64::from(env.tas(TAS).await) }))
+                .collect();
             let report = ModelWorld::run(cfg, bodies);
             assert_eq!(report.decided_values().iter().sum::<u64>(), 1, "seed {seed}");
         }
@@ -1535,10 +1536,10 @@ mod tests {
             let cfg = RunConfig::new(3).schedule(Schedule::RandomSeed(seed)).record_trace(true);
             let bodies = (0..3)
                 .map(|i| {
-                    body(move |env| {
+                    body(move |env| async move {
                         for r in 0..5u64 {
-                            env.snap_write(SNAP, 3, i as usize, r);
-                            env.snap_scan::<u64>(SNAP, 3);
+                            env.snap_write(SNAP, 3, i as usize, r).await;
+                            env.snap_scan::<u64>(SNAP, 3).await;
                         }
                         i
                     })
@@ -1558,9 +1559,9 @@ mod tests {
             .crashes(Crashes::AtOwnStep(vec![(0, 1)]));
         let bodies = (0..2)
             .map(|i| {
-                body(move |env| {
-                    env.reg_write(REG, i);
-                    env.reg_write(REG, i + 10);
+                body(move |env| async move {
+                    env.reg_write(REG, i).await;
+                    env.reg_write(REG, i + 10).await;
                     i
                 })
             })
@@ -1579,13 +1580,15 @@ mod tests {
             .crashes(Crashes::AtOwnStep(vec![(0, 0)]))
             .max_steps(5_000);
         let bodies: Vec<Body> = vec![
-            body(|env| {
-                env.reg_write(REG, 1u64);
+            body(|env| async move {
+                env.reg_write(REG, 1u64).await;
                 0
             }),
-            body(|env| loop {
-                if let Some(v) = env.reg_read::<u64>(REG) {
-                    return v;
+            body(|env| async move {
+                loop {
+                    if let Some(v) = env.reg_read::<u64>(REG).await {
+                        return v;
+                    }
                 }
             }),
         ];
@@ -1601,13 +1604,15 @@ mod tests {
         // Same as above but no crash: the spinner is eventually satisfied.
         let cfg = RunConfig::new(2).schedule(Schedule::RandomSeed(3));
         let bodies: Vec<Body> = vec![
-            body(|env| {
-                env.reg_write(REG, 42u64);
+            body(|env| async move {
+                env.reg_write(REG, 42u64).await;
                 0
             }),
-            body(|env| loop {
-                if let Some(v) = env.reg_read::<u64>(REG) {
-                    return v;
+            body(|env| async move {
+                loop {
+                    if let Some(v) = env.reg_read::<u64>(REG).await {
+                        return v;
+                    }
                 }
             }),
         ];
@@ -1615,11 +1620,75 @@ mod tests {
         assert_eq!(report.outcomes[1], Outcome::Decided(42));
     }
 
+    /// Counts its drops: a process body holding one shows when the
+    /// engine drops the body's future.
+    struct DropGuard(Arc<AtomicUsize>);
+
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn crash_drops_the_body_future_at_its_gate() {
+        // Round robin: p0 writes, p1 writes, p0 is crashed before its
+        // second write, p1 writes again. p1 then sees p0's future already
+        // dropped: the crash dropped it at its gate, not the end of the run.
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let ran_past = Arc::new(AtomicUsize::new(0));
+        let cfg = RunConfig::new(2)
+            .schedule(Schedule::RoundRobin)
+            .crashes(Crashes::AtOwnStep(vec![(0, 1)]));
+        let bodies = (0..2u64)
+            .map(|i| {
+                let (dropped, ran_past) = (Arc::clone(&dropped), Arc::clone(&ran_past));
+                body(move |env| async move {
+                    let _guard = DropGuard(Arc::clone(&dropped));
+                    env.reg_write(REG, i).await;
+                    env.reg_write(REG, i + 10).await;
+                    ran_past.fetch_add(1, Ordering::SeqCst);
+                    dropped.load(Ordering::SeqCst) as u64
+                })
+            })
+            .collect();
+        let report = ModelWorld::run(cfg, bodies);
+        assert_eq!(report.outcomes, vec![Outcome::Crashed, Outcome::Decided(1)]);
+        assert_eq!(ran_past.load(Ordering::SeqCst), 1, "the crashed body never ran past its gate");
+        assert_eq!(dropped.load(Ordering::SeqCst), 2, "every body future is dropped exactly once");
+    }
+
+    #[test]
+    fn timeout_drops_every_alive_future_undecided() {
+        // Both processes spin on a register nobody writes: the budget
+        // runs out with both alive, and both futures are dropped.
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let cfg = RunConfig::new(2).schedule(Schedule::RandomSeed(4)).max_steps(100);
+        let bodies = (0..2)
+            .map(|_| {
+                let dropped = Arc::clone(&dropped);
+                body(move |env| async move {
+                    let _guard = DropGuard(dropped);
+                    loop {
+                        if let Some(v) = env.reg_read::<u64>(REG).await {
+                            return v;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let report = ModelWorld::run(cfg, bodies);
+        assert!(report.timed_out);
+        assert_eq!(report.steps, 100);
+        assert_eq!(report.outcomes, vec![Outcome::Undecided; 2]);
+        assert_eq!(dropped.load(Ordering::SeqCst), 2);
+    }
+
     #[test]
     #[should_panic(expected = "virtual process 0 failed")]
     fn algorithm_bug_panics_surface() {
         let cfg = RunConfig::new(1);
-        let bodies: Vec<Body> = vec![body(|_env| panic!("algorithm bug"))];
+        let bodies: Vec<Body> = vec![body(|_env| async { panic!("algorithm bug") })];
         ModelWorld::run(cfg, bodies);
     }
 
@@ -1653,16 +1722,16 @@ mod tests {
         // prefix of the writer's history.
         let cfg = RunConfig::new(2).schedule(Schedule::RandomSeed(11));
         let bodies: Vec<Body> = vec![
-            body(|env| {
+            body(|env| async move {
                 for k in 0..50u64 {
-                    env.snap_write(SNAP, 2, 0, k);
-                    env.snap_write(SNAP, 2, 1, k);
+                    env.snap_write(SNAP, 2, 0, k).await;
+                    env.snap_write(SNAP, 2, 1, k).await;
                 }
                 0
             }),
-            body(|env| {
+            body(|env| async move {
                 for _ in 0..30 {
-                    let v = env.snap_scan::<u64>(SNAP, 2);
+                    let v = env.snap_scan::<u64>(SNAP, 2).await;
                     let a = v[0].unwrap_or(0);
                     let b = v[1].unwrap_or(0);
                     assert!(a == b || a == b + 1, "torn snapshot: {a} vs {b}");

@@ -4,46 +4,45 @@
 //! the model world's one world-state record (shared memory — a plain
 //! clone of the object map, whose objects share their `Arc`ed cells —
 //! the memory and observation fingerprints, liveness flags, results,
-//! counters and store buffers; the same record the gated engine drives
-//! behind its thread gate) plus what only resumption needs: each
+//! counters and store buffers; the same record a linear run drives)
+//! plus what only resumption needs: each
 //! process's **operation log** — the ordered `(op, key, result)` records
 //! of every shared-memory operation it has completed — and the footprint
 //! of the operation it is parked before. Because process bodies are
 //! deterministic closures whose control state is exactly a function of
 //! the values their operations returned, a log *is* a continuation
-//! cursor: re-running the body and answering its first `log.len()`
-//! operations from the log reconstructs the process's local state
-//! without executing anything against shared memory, without threads,
-//! and without scheduler handshakes.
+//! cursor: rebuilding the body's future and answering its first
+//! `log.len()` operations from the log reconstructs the process's local
+//! state without executing anything against shared memory.
 //!
 //! [`ModelWorld::resume_from`] uses that to execute **one** scheduling
 //! decision from a snapshot on the caller thread: move a copy of the
-//! record into a resume-mode world, replay the picked process's log,
-//! execute its next operation against the record (appending the new log
-//! record), let the body run on to its next gate — where a
-//! [`StopSignal`] unwind parks it, recording the footprint of the
-//! operation it stopped at — or to completion, and move the record back
-//! out. The exhaustive explorer ([`crate::explore`]) expands its
-//! frontier this way instead of re-executing every schedule from the
+//! record into a polled world, build the picked process's body future and
+//! poll it once — its logged operations return their logged values, its
+//! next operation executes against the record (appending the new log
+//! record), and the operation after that records its footprint and
+//! returns `Pending`, parking the body at its gate — or the body runs to
+//! completion. The future is then dropped and the record moved back out.
+//! The exhaustive explorer ([`crate::explore`]) expands
+//! its frontier this way instead of re-executing every schedule from the
 //! root.
 //!
-//! The cost of resuming process `p` is `O(|log(p)|)` pure closure
-//! re-execution (no syscalls, no locks beyond uncontended per-op
-//! acquisitions), versus a full gated replay's two context switches per
-//! step of *every* process. Logs are shared (`Arc`) between a snapshot
-//! and its children; only the stepped process's log is rebuilt.
+//! The cost of resuming process `p` is `O(|log(p)|)` pure re-execution of
+//! its body (no syscalls, no locks beyond uncontended per-op
+//! acquisitions). Logs are shared (`Arc`) between a snapshot and its
+//! children; only the stepped process's log is rebuilt.
 //!
-//! **Caveat:** resume executes bodies on the caller thread, so — unlike
-//! the gated world, which has a watchdog — a body that spins forever in
-//! local code without reaching another shared operation hangs the caller.
-//! The explorer's contract (bounded bodies) already excludes those.
+//! **Caveat:** resume polls bodies on the caller thread, so a body that
+//! spins forever in local code without reaching another shared operation
+//! hangs the caller — as it does in a linear [`ModelWorld::run`]. The
+//! explorer's contract (bounded bodies) already excludes those.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::task::Poll;
 
 use super::{
-    codec, install_crash_hook, panic_message, Body, BufferedWrite, Footprint, Mode, ModelWorld,
-    RunReport, StopSignal, WorldState,
+    codec, poll_body, Admission, Body, BufferedWrite, Footprint, Mode, ModelWorld, RunReport,
+    WorldState,
 };
 use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
 use crate::world::{Env, ObjKey, Pid, Stored};
@@ -62,92 +61,6 @@ impl LogEntry {
     pub(super) fn new(op: u64, key: ObjKey, result: Stored) -> Self {
         LogEntry { op, key, result }
     }
-}
-
-/// Control state of one resumed process (the resume [`Mode`]).
-pub(super) struct ResumeCtl {
-    /// The process being driven — resume mode executes no other body.
-    pid: Pid,
-    /// Its operation log from the snapshot.
-    log: Arc<Vec<LogEntry>>,
-    /// Log entries replayed so far (the continuation cursor).
-    cursor: usize,
-    /// Fresh operations allowed before parking (0 = probe only).
-    budget: usize,
-    /// Fresh operations completed this resume, in order.
-    fresh: Vec<LogEntry>,
-    /// Footprint of the operation the body parked at, once stopped.
-    next_op: Option<Footprint>,
-}
-
-impl ResumeCtl {
-    /// Drives `pid` along `log`, allowing `budget` fresh operations
-    /// before parking (0 = probe only).
-    fn new(pid: Pid, log: Arc<Vec<LogEntry>>, budget: usize) -> Self {
-        ResumeCtl { pid, log, cursor: 0, budget, fresh: Vec::new(), next_op: None }
-    }
-
-    /// Classifies the operation `(op_tag, key)` of `pid` against the
-    /// resume log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body diverges from its recorded log (a
-    /// nondeterministic process body — disallowed by the model) or if
-    /// another process's body somehow runs.
-    pub(super) fn gate<R: Clone + 'static>(
-        &mut self,
-        pid: Pid,
-        op_tag: u64,
-        key: ObjKey,
-    ) -> ResumeGate<R> {
-        assert_eq!(pid, self.pid, "resume executes only the picked process");
-        if self.cursor < self.log.len() {
-            let entry = &self.log[self.cursor];
-            assert!(
-                entry.op == op_tag && entry.key == key,
-                "nondeterministic process body: replay step {} issued op {op_tag} on {key}, \
-                 log records op {} on {}",
-                self.cursor,
-                entry.op,
-                entry.key
-            );
-            self.cursor += 1;
-            let out = entry
-                .result
-                .downcast_ref::<R>()
-                .expect("nondeterministic process body: replayed result type changed")
-                .clone();
-            return ResumeGate::Replayed(out);
-        }
-        if self.fresh.len() >= self.budget {
-            ResumeGate::Park
-        } else {
-            ResumeGate::Fresh
-        }
-    }
-
-    pub(super) fn push_fresh(&mut self, entry: LogEntry) {
-        self.fresh.push(entry);
-    }
-
-    /// Records the footprint of the operation the body is about to park
-    /// at.
-    pub(super) fn park_at(&mut self, footprint: Footprint) {
-        self.next_op = Some(footprint);
-    }
-}
-
-/// What [`ModelWorld::step`] must do with an operation arriving in resume
-/// mode.
-pub(super) enum ResumeGate<R> {
-    /// Answered from the log — return this value, execute nothing.
-    Replayed(R),
-    /// A granted fresh operation — execute it.
-    Fresh,
-    /// Budget exhausted — record the footprint and unwind with
-    /// [`StopSignal`].
-    Park,
 }
 
 /// A checkpoint of one reachable model-world state, from which execution
@@ -244,7 +157,7 @@ impl Snapshot {
     }
 
     /// The global-state fingerprint of this snapshot — word-for-word the
-    /// value the gated world records per pick under
+    /// value a linear run records per pick under
     /// [`super::RunConfig::record_state_hashes`] after the same schedule
     /// prefix (property-tested in `tests/proptests.rs`).
     ///
@@ -517,51 +430,39 @@ impl Snapshot {
     }
 
     /// The [`RunReport`] of the path that reached this state — built from
-    /// the same record, by the same function, as a gated
+    /// the same record, by the same function, as a linear
     /// [`ModelWorld::run`] over the same schedule prefix (without its
     /// opt-in trace and state-hash recordings, which are path records,
     /// not state).
     ///
     /// `timed_out` marks a run cut by the step budget (alive processes
-    /// report [`super::Outcome::Undecided`], as in the gated world's
-    /// timeout sweep).
+    /// report [`super::Outcome::Undecided`], as in a timed-out linear
+    /// run).
     pub fn report(&self, timed_out: bool) -> RunReport {
         self.world.report(timed_out)
     }
 }
 
-enum Resumed {
-    /// The body parked at its next gate.
-    Parked,
-    /// The body ran to completion and decided.
-    Finished(u64),
-}
-
 impl ModelWorld {
-    /// Moves `world` into a resume-mode world driving `ctl`'s process,
-    /// runs `body` as that process until it parks ([`StopSignal`]) or
-    /// returns, and moves the record and the control state back out.
-    fn drive_resumed(
+    /// Moves `world` into a polled world, builds `pid`'s body future and
+    /// polls it once under `admission`, then moves the record back out.
+    /// The future is dropped after the poll: the snapshot keeps the log,
+    /// which rebuilds it.
+    fn poll_once(
         world: WorldState,
-        ctl: ResumeCtl,
+        admission: Admission,
         body: Body,
-    ) -> (WorldState, ResumeCtl, Resumed) {
-        let pid = ctl.pid;
-        let resumed = ModelWorld::with_state(world, Mode::Resume(ctl));
-        let env = Env::new(resumed.clone(), pid);
-        let outcome = match catch_unwind(AssertUnwindSafe(move || body(env))) {
-            Ok(v) => Resumed::Finished(v),
-            Err(payload) if payload.downcast_ref::<StopSignal>().is_some() => Resumed::Parked,
-            Err(payload) => {
-                panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref()))
-            }
+    ) -> (WorldState, Admission, Poll<u64>) {
+        let pid = admission.pid;
+        let polled_world = ModelWorld::with_state(world, Mode::Polled(admission));
+        let mut fut = body(Env::new(polled_world.clone(), pid));
+        let polled = poll_body(pid, &mut fut);
+        drop(fut);
+        let mut st = polled_world.st.lock();
+        let Mode::Polled(admission) = std::mem::replace(&mut st.mode, Mode::Free) else {
+            unreachable!("a polled world stays polled")
         };
-        let mut st = resumed.inner.st.lock();
-        let world = std::mem::take(&mut st.world);
-        let Mode::Resume(ctl) = std::mem::replace(&mut st.mode, Mode::Free) else {
-            unreachable!("a resumed world stays in resume mode");
-        };
-        (world, ctl, outcome)
+        (std::mem::take(&mut st.world), admission, polled)
     }
 
     /// The initial [`Snapshot`] of a run of `bodies`: every process is
@@ -592,21 +493,20 @@ impl ModelWorld {
         bodies: Vec<Body>,
     ) -> Snapshot {
         assert_eq!(bodies.len(), n, "one body per process required");
-        install_crash_hook();
         let mut world = WorldState::new(n, track, viewsum, tso);
         let mut pending_op = vec![None; n];
+        let logs: Vec<Arc<Vec<LogEntry>>> = (0..n).map(|_| Arc::new(Vec::new())).collect();
         for (pid, body) in bodies.into_iter().enumerate() {
-            // Probe (budget 0): the body unwinds at its first operation
+            // Probe (budget 0): the body parks at its first operation
             // without touching shared state, recording the op's footprint.
-            let ctl = ResumeCtl::new(pid, Arc::new(Vec::new()), 0);
-            let (probed, ctl, resumed) = ModelWorld::drive_resumed(world, ctl, body);
+            let probe = Admission::new(pid, Vec::new(), 0, false);
+            let (probed, probe, polled) = ModelWorld::poll_once(world, probe, body);
             world = probed;
-            match resumed {
-                Resumed::Finished(v) => world.finish(pid, v),
-                Resumed::Parked => pending_op[pid] = Some(ctl.next_op.expect("parked at a gate")),
+            match polled {
+                Poll::Ready(v) => world.finish(pid, v),
+                Poll::Pending => pending_op[pid] = Some(probe.parked.expect("parked at a gate")),
             }
         }
-        let logs = (0..n).map(|_| Arc::new(Vec::new())).collect();
         Snapshot { world, logs, pending_op }
     }
 
@@ -625,40 +525,36 @@ impl ModelWorld {
             pid < snap.n() && !snap.world.finished[pid] && !snap.world.crashed[pid],
             "resume_from requires an alive process (pid {pid})"
         );
-        install_crash_hook();
-        let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 1);
-        let (mut world, ctl, resumed) = ModelWorld::drive_resumed(snap.world.clone(), ctl, body);
-        if let Resumed::Finished(v) = resumed {
+        let mut log = Vec::with_capacity(snap.logs[pid].len() + 1);
+        log.extend_from_slice(&snap.logs[pid]);
+        let grant = Admission::new(pid, log, 1, true);
+        let (mut world, grant, polled) = ModelWorld::poll_once(snap.world.clone(), grant, body);
+        if let Poll::Ready(v) = polled {
             world.finish(pid, v);
         }
         assert_eq!(
-            ctl.cursor,
-            ctl.log.len(),
+            grant.cursor, grant.replay,
             "nondeterministic process body: replay consumed {} of {} logged operations",
-            ctl.cursor,
-            ctl.log.len()
+            grant.cursor, grant.replay
         );
         assert_eq!(
-            ctl.fresh.len(),
-            1,
+            grant.executed, 1,
             "an alive process must complete exactly one granted step (completed {})",
-            ctl.fresh.len()
+            grant.executed
         );
         let mut logs = snap.logs.clone();
-        let mut full = (*ctl.log).clone();
-        full.extend(ctl.fresh);
-        logs[pid] = Arc::new(full);
+        logs[pid] = Arc::new(grant.log);
         let mut pending_op = snap.pending_op.clone();
         pending_op[pid] = if world.finished[pid] {
             None
         } else {
-            Some(ctl.next_op.expect("a live body parks at its next gate"))
+            Some(grant.parked.expect("a live body parks at its next gate"))
         };
         Snapshot { world, logs, pending_op }
     }
 
     /// Delivers an adversary crash to alive `pid` *instead of* its next
-    /// step (the gated world's crash granularity) and returns the
+    /// step (a linear run's crash granularity) and returns the
     /// successor snapshot. Memory, logs, and step counters are untouched;
     /// only the liveness flags — and hence the fingerprint — change.
     ///
@@ -701,25 +597,21 @@ impl ModelWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Body, ModelWorld, Outcome, RunConfig};
+    use super::super::{body, Body, ModelWorld, Outcome, RunConfig};
     use crate::sched::Schedule;
-    use crate::world::{Env, ObjKey};
+    use crate::world::ObjKey;
 
     const REG: ObjKey = ObjKey::new(30, 0, 0);
     const SNAP: ObjKey = ObjKey::new(31, 0, 0);
 
-    fn body(f: impl FnOnce(Env<ModelWorld>) -> u64 + Send + 'static) -> Body {
-        Box::new(f)
-    }
-
     fn writer_bodies(n: usize, rounds: u64) -> Vec<Body> {
         (0..n)
             .map(|i| {
-                body(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     for r in 1..=rounds {
-                        env.snap_write(SNAP, n, i, r);
+                        env.snap_write(SNAP, n, i, r).await;
                     }
-                    let view = env.snap_scan::<u64>(SNAP, n);
+                    let view = env.snap_scan::<u64>(SNAP, n).await;
                     view.into_iter().flatten().sum()
                 })
             })
@@ -740,7 +632,10 @@ mod tests {
 
     #[test]
     fn root_records_immediately_deciding_bodies() {
-        let bodies: Vec<Body> = vec![body(|_env| 41), body(|env| u64::from(env.tas(REG)))];
+        let bodies: Vec<Body> = vec![
+            body(|_env| async { 41 }),
+            body(|env| async move { u64::from(env.tas(REG).await) }),
+        ];
         let snap = ModelWorld::snapshot_root(2, false, false, bodies);
         assert_eq!(snap.alive(), vec![1]);
         assert_eq!(snap.report(false).outcomes[0], Outcome::Decided(41));
@@ -748,7 +643,7 @@ mod tests {
 
     #[test]
     fn resume_steps_match_a_gated_indexed_run() {
-        // Drive the snapshot engine and the gated world down the same
+        // Drive snapshot resume and a linear run down the same
         // indexed schedule; outcomes, steps, and every per-pick
         // fingerprint must agree.
         let n = 2;
@@ -794,9 +689,9 @@ mod tests {
         // must be parked before a pure read.
         let n = 1;
         let bodies = || {
-            vec![body(move |env: Env<ModelWorld>| {
-                env.snap_write(SNAP, 1, 0, 7u64);
-                env.snap_scan::<u64>(SNAP, 1);
+            vec![body(move |env| async move {
+                env.snap_write(SNAP, 1, 0, 7u64).await;
+                env.snap_scan::<u64>(SNAP, 1).await;
                 0
             })]
         };
@@ -813,13 +708,13 @@ mod tests {
     #[should_panic(expected = "nondeterministic process body")]
     fn diverging_replay_is_detected() {
         let make = |tag: u64| {
-            vec![body(move |env: Env<ModelWorld>| {
+            vec![body(move |env| async move {
                 if tag == 0 {
-                    env.reg_write(REG, 1u64);
+                    env.reg_write(REG, 1u64).await;
                 } else {
-                    env.tas(REG.with_b(9));
+                    env.tas(REG.with_b(9)).await;
                 }
-                env.reg_write(REG.with_b(1), 2u64);
+                env.reg_write(REG.with_b(1), 2u64).await;
                 0
             })]
         };
@@ -832,7 +727,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "virtual process 0 failed")]
     fn real_panics_surface_through_resume() {
-        let bodies: Vec<Body> = vec![body(|_env| panic!("algorithm bug"))];
+        let bodies: Vec<Body> = vec![body(|_env| async { panic!("algorithm bug") })];
         ModelWorld::snapshot_root(1, false, false, bodies);
     }
 }

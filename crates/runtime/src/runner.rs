@@ -8,7 +8,7 @@
 //! compared against — an algorithm must first solve its task here before
 //! being fed to a simulation.
 
-use crate::model_world::{Body, ModelWorld, RunConfig, RunReport};
+use crate::model_world::{body, Body, ModelWorld, RunConfig, RunReport};
 use crate::program::{BoxedProcess, SimOp, SimResponse, SimStep, XConsLayout};
 use crate::world::{Env, ObjKey};
 
@@ -49,25 +49,25 @@ pub fn run_direct(cfg: RunConfig, programs: Vec<BoxedProcess>, layout: XConsLayo
         .enumerate()
         .map(|(pid, mut prog)| {
             let layout = layout.clone();
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let mut step = prog.begin();
                 loop {
                     match step {
                         SimStep::Decide(v) => return v,
                         SimStep::Invoke(op) => {
-                            let resp = perform(&env, pid, &layout, n, op);
+                            let resp = perform(&env, pid, &layout, n, op).await;
                             step = prog.on_response(resp);
                         }
                     }
                 }
-            }) as Body
+            })
         })
         .collect();
     ModelWorld::run(cfg, bodies)
 }
 
 /// Executes one simulated-process operation against the world.
-fn perform(
+async fn perform(
     env: &Env<ModelWorld>,
     pid: usize,
     layout: &XConsLayout,
@@ -76,13 +76,13 @@ fn perform(
 ) -> SimResponse {
     match op {
         SimOp::Write(v) => {
-            env.snap_write(mem_key(), n, pid, v);
+            env.snap_write(mem_key(), n, pid, v).await;
             SimResponse::WriteAck
         }
-        SimOp::Snapshot => SimResponse::Snapshot(env.snap_scan::<u64>(mem_key(), n)),
+        SimOp::Snapshot => SimResponse::Snapshot(env.snap_scan::<u64>(mem_key(), n).await),
         SimOp::XConsPropose { obj, value } => {
             let ports = layout.ports(obj);
-            SimResponse::XConsDecided(env.xcons_propose(xcons_key(obj), ports, value))
+            SimResponse::XConsDecided(env.xcons_propose(xcons_key(obj), ports, value).await)
         }
     }
 }

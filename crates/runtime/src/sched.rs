@@ -44,7 +44,7 @@ pub enum Schedule {
     /// `alive.len()..2 * alive.len()` picks `alive[choices[i] -
     /// alive.len()]` as a **crash delivery** — the explorer's encoding of
     /// a [`Crashes::UpTo`] branch, so its counterexample schedules replay
-    /// crash placements through the gated engine exactly. Under any other
+    /// crash placements through the linear engine exactly. Under any other
     /// crash policy the crash is inert and the pick grants the same
     /// process a step. Under TSO ([`crate::model_world::RunConfig::tso`]),
     /// `2 * alive.len() .. 2 * alive.len() + n` flushes the store buffer
@@ -82,7 +82,7 @@ impl Pick {
     /// `alive[choice - a]`, and `2a..2a + n` flushes the store buffer of
     /// **raw pid** `choice - 2a` (raw, not alive-indexed: finished and
     /// crashed processes keep draining — hardware owns the buffer, not
-    /// the process), where `a = alive.len()`. The gated scheduler, the
+    /// the process), where `a = alive.len()`. The linear scheduler, the
     /// explorer's expansion and its rehydration replay all decode
     /// through here, so a counterexample vector means the same schedule
     /// to both engines.
@@ -234,7 +234,7 @@ pub enum Crashes {
 /// Cloneable so the exhaustive explorer can carry the adversary's
 /// per-path state on each frontier node ([`crate::explore`]): advancing a
 /// clone per child replays exactly the `should_crash` call sequence a
-/// gated run over the same schedule prefix would make.
+/// linear run over the same schedule prefix would make.
 #[derive(Clone)]
 pub(crate) struct CrashState {
     policy: Crashes,

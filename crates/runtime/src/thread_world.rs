@@ -2,7 +2,8 @@
 //!
 //! [`ThreadWorld`] implements the same [`World`] interface as the model
 //! world but with no scheduler: every operation acquires a short critical
-//! section on the object map and returns immediately. Operations are
+//! section on the object map and is `Ready` at its first poll, so bodies
+//! on real threads drive it with [`crate::world::block_on`]. Operations are
 //! linearizable (they execute atomically under the lock) but interleavings
 //! are whatever the OS scheduler produces — suitable for measuring protocol
 //! costs (benches E1–E6) and for stress tests, not for deterministic
@@ -51,7 +52,7 @@ fn downcast<T: MemVal>(stored: &Stored, key: ObjKey, what: &str) -> T {
 }
 
 impl World for ThreadWorld {
-    fn reg_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, val: T) {
+    async fn reg_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, val: T) {
         let mut objs = self.objects.lock();
         match objs.entry(key).or_insert(Object::Register(None)) {
             Object::Register(slot) => *slot = Some(Arc::new(val)),
@@ -59,7 +60,7 @@ impl World for ThreadWorld {
         }
     }
 
-    fn reg_read<T: MemVal>(&self, _pid: Pid, key: ObjKey) -> Option<T> {
+    async fn reg_read<T: MemVal>(&self, _pid: Pid, key: ObjKey) -> Option<T> {
         let mut objs = self.objects.lock();
         match objs.entry(key).or_insert(Object::Register(None)) {
             Object::Register(slot) => slot.as_ref().map(|s| downcast(s, key, "register")),
@@ -67,7 +68,7 @@ impl World for ThreadWorld {
         }
     }
 
-    fn snap_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
+    async fn snap_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
         let mut objs = self.objects.lock();
         match objs.entry(key).or_insert_with(|| Object::Snapshot(vec![None; len])) {
@@ -79,7 +80,7 @@ impl World for ThreadWorld {
         }
     }
 
-    fn snap_scan<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
+    async fn snap_scan<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
         let mut objs = self.objects.lock();
         match objs.entry(key).or_insert_with(|| Object::Snapshot(vec![None; len])) {
             Object::Snapshot(cells) => {
@@ -93,7 +94,7 @@ impl World for ThreadWorld {
         }
     }
 
-    fn tas(&self, _pid: Pid, key: ObjKey) -> bool {
+    async fn tas(&self, _pid: Pid, key: ObjKey) -> bool {
         let mut objs = self.objects.lock();
         match objs.entry(key).or_insert(Object::Tas(false)) {
             Object::Tas(taken) => {
@@ -105,7 +106,7 @@ impl World for ThreadWorld {
         }
     }
 
-    fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
+    async fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
         assert!(
             ports.contains(&pid),
             "process {pid} is not a port of consensus object {key} (ports {ports:?})"
@@ -131,6 +132,7 @@ impl World for ThreadWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::block_on;
     use std::thread;
 
     const K: ObjKey = ObjKey::new(7, 0, 0);
@@ -138,17 +140,17 @@ mod tests {
     #[test]
     fn basic_semantics_match_model_world() {
         let w = ThreadWorld::new();
-        assert_eq!(w.reg_read::<u64>(0, K), None);
-        w.reg_write(0, K, 9u64);
-        assert_eq!(w.reg_read::<u64>(0, K), Some(9));
+        assert_eq!(block_on(w.reg_read::<u64>(0, K)), None);
+        block_on(w.reg_write(0, K, 9u64));
+        assert_eq!(block_on(w.reg_read::<u64>(0, K)), Some(9));
 
         let s = ObjKey::new(8, 0, 0);
-        w.snap_write(0, s, 2, 1, 4u64);
-        assert_eq!(w.snap_scan::<u64>(0, s, 2), vec![None, Some(4)]);
+        block_on(w.snap_write(0, s, 2, 1, 4u64));
+        assert_eq!(block_on(w.snap_scan::<u64>(0, s, 2)), vec![None, Some(4)]);
 
         let t = ObjKey::new(9, 0, 0);
-        assert!(w.tas(0, t));
-        assert!(!w.tas(1, t));
+        assert!(block_on(w.tas(0, t)));
+        assert!(!block_on(w.tas(1, t)));
     }
 
     #[test]
@@ -159,7 +161,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|pid| {
                     let w = w.clone();
-                    s.spawn(move || usize::from(w.tas(pid, key)))
+                    s.spawn(move || usize::from(block_on(w.tas(pid, key))))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
@@ -177,7 +179,7 @@ mod tests {
                 .map(|pid| {
                     let w = w.clone();
                     let ports = ports.clone();
-                    s.spawn(move || w.xcons_propose(pid, key, &ports, pid as u64 + 1))
+                    s.spawn(move || block_on(w.xcons_propose(pid, key, &ports, pid as u64 + 1)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -196,14 +198,14 @@ mod tests {
             let ww = w.clone();
             s.spawn(move || {
                 for k in 0..2000u64 {
-                    ww.snap_write(0, key, 2, 0, k + 1);
-                    ww.snap_write(0, key, 2, 1, k + 1);
+                    block_on(ww.snap_write(0, key, 2, 0, k + 1));
+                    block_on(ww.snap_write(0, key, 2, 1, k + 1));
                 }
             });
             let wr = w.clone();
             s.spawn(move || {
                 for _ in 0..2000 {
-                    let v = wr.snap_scan::<u64>(1, key, 2);
+                    let v = block_on(wr.snap_scan::<u64>(1, key, 2));
                     let a = v[0].unwrap_or(0);
                     let b = v[1].unwrap_or(0);
                     assert!(a >= b, "scan saw cell1 ahead of cell0: {a} < {b}");

@@ -8,13 +8,16 @@
 //! up-front allocation.
 //!
 //! Two implementations exist: the deterministic, crash-injecting
-//! [`crate::model_world::ModelWorld`] (every operation is one scheduler
-//! step, so every operation is trivially linearizable and crashes land
-//! between operations), and the lock-based [`crate::thread_world::ThreadWorld`]
-//! for full-speed benchmarking on real threads.
+//! [`crate::model_world::ModelWorld`] (every awaited operation is one
+//! scheduler step, so every operation is trivially linearizable and
+//! crashes land between operations), and the lock-based
+//! [`crate::thread_world::ThreadWorld`] for full-speed benchmarking on real
+//! threads, driven by [`block_on`].
 
 use std::any::Any;
+use std::future::Future;
 use std::sync::Arc;
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 /// Identifier of a virtual process within a world (0-based).
 pub type Pid = usize;
@@ -72,8 +75,18 @@ pub type Stored = Arc<dyn Any + Send + Sync>;
 /// The shared-memory operations available to a virtual process.
 ///
 /// All operations take the calling process's [`Pid`]; implementations may
-/// use it for scheduling (the model world's step gate), failure injection,
-/// and port checks. Each method is one atomic step of the calling process.
+/// use it for scheduling, failure injection, and port checks. Each
+/// operation returns a future, and **one awaited operation is one atomic
+/// step** of the calling process: nothing happens until the future is
+/// polled, so an operation that is never awaited takes no step.
+///
+/// The model world's polled engines suspend a process at an operation by
+/// returning [`Poll::Pending`] from it, and crash it by dropping its body
+/// future there ([`crate::model_world`]). Worlds on real threads
+/// ([`crate::thread_world::ThreadWorld`], and
+/// [`crate::model_world::ModelWorld::new_free`]) never suspend: their
+/// operations are `Ready` at their first poll, and [`block_on`] drives
+/// them from synchronous code.
 ///
 /// # Panics
 ///
@@ -83,18 +96,30 @@ pub type Stored = Arc<dyn Any + Send + Sync>;
 /// simulation, never a legal run-time condition.
 pub trait World: Clone + Send + Sync + 'static {
     /// Writes a multi-writer multi-reader atomic register.
-    fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T);
+    fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) -> impl Future<Output = ()>;
 
     /// Reads a multi-writer multi-reader atomic register. `None` if never
     /// written (the paper's `⊥`).
-    fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> Option<T>;
+    fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> impl Future<Output = Option<T>>;
 
     /// Writes cell `idx` of the `len`-cell snapshot object `key`.
-    fn snap_write<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize, idx: usize, val: T);
+    fn snap_write<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        len: usize,
+        idx: usize,
+        val: T,
+    ) -> impl Future<Output = ()>;
 
     /// Atomically reads all cells of the `len`-cell snapshot object `key`.
     /// Unwritten cells read as `None` (the paper's `⊥`).
-    fn snap_scan<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>>;
+    fn snap_scan<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        len: usize,
+    ) -> impl Future<Output = Vec<Option<T>>>;
 
     /// Atomically scans the `len`-cell snapshot object `key` and returns
     /// `summarize(view)` — a **program-declared view summary**: the caller
@@ -120,15 +145,16 @@ pub trait World: Clone + Send + Sync + 'static {
     ///
     /// ```
     /// use mpcn_runtime::model_world::ModelWorld;
-    /// use mpcn_runtime::world::{Env, ObjKey};
+    /// use mpcn_runtime::world::{block_on, Env, ObjKey};
     ///
     /// let env = Env::new(ModelWorld::new_free(2), 0);
     /// let key = ObjKey::new(901, 0, 0);
-    /// env.snap_write(key, 2, 0, 7u64);
+    /// block_on(env.snap_write(key, 2, 0, 7u64));
     /// // The caller receives only the declared summary — here, how many
     /// // cells have been written — never the raw view.
-    /// let written =
-    ///     env.snap_scan_via::<u64, u64>(key, 2, |view| view.iter().flatten().count() as u64);
+    /// let written = block_on(
+    ///     env.snap_scan_via::<u64, u64>(key, 2, |view| view.iter().flatten().count() as u64),
+    /// );
     /// assert_eq!(written, 1);
     /// ```
     fn snap_scan_via<T: MemVal, S: MemVal>(
@@ -137,8 +163,8 @@ pub trait World: Clone + Send + Sync + 'static {
         key: ObjKey,
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
-    ) -> S {
-        summarize(&self.snap_scan::<T>(pid, key, len))
+    ) -> impl Future<Output = S> {
+        async move { summarize(&self.snap_scan::<T>(pid, key, len).await) }
     }
 
     /// Store-buffer drain point (a full memory fence). Under a
@@ -148,11 +174,13 @@ pub trait World: Clone + Send + Sync + 'static {
     /// TSO exploration mode overrides it: there a fence is one atomic
     /// step that drains the calling process's FIFO store buffer to shared
     /// memory ([`crate::model_world::RunConfig::tso`]).
-    fn fence(&self, _pid: Pid) {}
+    fn fence(&self, _pid: Pid) -> impl Future<Output = ()> {
+        std::future::ready(())
+    }
 
     /// One-shot test&set: `true` to the first invocation ever, `false` to
     /// all later ones.
-    fn tas(&self, pid: Pid, key: ObjKey) -> bool;
+    fn tas(&self, pid: Pid, key: ObjKey) -> impl Future<Output = bool>;
 
     /// Proposes `val` to the port-limited consensus object `key` and
     /// returns its decided value.
@@ -160,7 +188,13 @@ pub trait World: Clone + Send + Sync + 'static {
     /// `ports` is the static set of processes allowed to access the object;
     /// it must be identical across all accesses, contain `pid`, and its
     /// length is the object's consensus number `x`.
-    fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T;
+    fn xcons_propose<T: MemVal>(
+        &self,
+        pid: Pid,
+        key: ObjKey,
+        ports: &[Pid],
+        val: T,
+    ) -> impl Future<Output = T>;
 }
 
 /// A process-scoped handle: a world plus the calling process identity.
@@ -190,22 +224,32 @@ impl<W: World> Env<W> {
     }
 
     /// See [`World::reg_write`].
-    pub fn reg_write<T: MemVal>(&self, key: ObjKey, val: T) {
-        self.world.reg_write(self.pid, key, val);
+    pub fn reg_write<T: MemVal>(&self, key: ObjKey, val: T) -> impl Future<Output = ()> + '_ {
+        self.world.reg_write(self.pid, key, val)
     }
 
     /// See [`World::reg_read`].
-    pub fn reg_read<T: MemVal>(&self, key: ObjKey) -> Option<T> {
+    pub fn reg_read<T: MemVal>(&self, key: ObjKey) -> impl Future<Output = Option<T>> + '_ {
         self.world.reg_read(self.pid, key)
     }
 
     /// See [`World::snap_write`].
-    pub fn snap_write<T: MemVal>(&self, key: ObjKey, len: usize, idx: usize, val: T) {
-        self.world.snap_write(self.pid, key, len, idx, val);
+    pub fn snap_write<T: MemVal>(
+        &self,
+        key: ObjKey,
+        len: usize,
+        idx: usize,
+        val: T,
+    ) -> impl Future<Output = ()> + '_ {
+        self.world.snap_write(self.pid, key, len, idx, val)
     }
 
     /// See [`World::snap_scan`].
-    pub fn snap_scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
+    pub fn snap_scan<T: MemVal>(
+        &self,
+        key: ObjKey,
+        len: usize,
+    ) -> impl Future<Output = Vec<Option<T>>> + '_ {
         self.world.snap_scan(self.pid, key, len)
     }
 
@@ -215,29 +259,77 @@ impl<W: World> Env<W> {
         key: ObjKey,
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
-    ) -> S {
+    ) -> impl Future<Output = S> + '_ {
         self.world.snap_scan_via(self.pid, key, len, summarize)
     }
 
     /// See [`World::fence`].
-    pub fn fence(&self) {
-        self.world.fence(self.pid);
+    pub fn fence(&self) -> impl Future<Output = ()> + '_ {
+        self.world.fence(self.pid)
     }
 
     /// See [`World::tas`].
-    pub fn tas(&self, key: ObjKey) -> bool {
+    pub fn tas(&self, key: ObjKey) -> impl Future<Output = bool> + '_ {
         self.world.tas(self.pid, key)
     }
 
     /// See [`World::xcons_propose`].
-    pub fn xcons_propose<T: MemVal>(&self, key: ObjKey, ports: &[Pid], val: T) -> T {
+    pub fn xcons_propose<'a, T: MemVal>(
+        &'a self,
+        key: ObjKey,
+        ports: &'a [Pid],
+        val: T,
+    ) -> impl Future<Output = T> + 'a {
         self.world.xcons_propose(self.pid, key, ports, val)
+    }
+}
+
+/// A waker that does nothing. The polled engines never wait for a wake-up:
+/// a parked operation is resumed by the scheduler picking its process, not
+/// by an event, so nothing ever needs waking.
+pub(crate) fn noop_waker() -> Waker {
+    const VTABLE: RawWakerVTable = RawWakerVTable::new(|_| RAW, |_| {}, |_| {}, |_| {});
+    const RAW: RawWaker = RawWaker::new(std::ptr::null(), &VTABLE);
+    // SAFETY: every vtable function ignores the data pointer, so a null
+    // pointer and no-op functions uphold the `RawWaker` contract.
+    unsafe { Waker::from_raw(RAW) }
+}
+
+/// Drives `fut` to completion on the calling thread, for code that calls
+/// [`World`] operations outside a model-world engine: bodies on
+/// [`crate::thread_world::ThreadWorld`] threads and direct tests on
+/// [`crate::model_world::ModelWorld::new_free`], whose operations never
+/// park.
+///
+/// # Panics
+///
+/// Panics if `fut` returns [`Poll::Pending`]: only a model-world engine
+/// can resume a parked operation.
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    let mut fut = std::pin::pin!(fut);
+    match fut.as_mut().poll(&mut Context::from_waker(&noop_waker())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!(
+            "block_on: the future returned Pending — it awaited a model-world operation that \
+             parked, which only ModelWorld's polled engines (run, snapshot resume) can resume"
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn block_on_returns_a_ready_output() {
+        assert_eq!(block_on(async { 7u64 }), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "block_on: the future returned Pending")]
+    fn block_on_rejects_a_pending_future() {
+        block_on(std::future::pending::<()>());
+    }
 
     #[test]
     fn obj_key_derivation() {

@@ -13,9 +13,9 @@
 //! counterexamples here double as end-to-end replay fixtures.
 
 use mpcn_runtime::explore::{replay, ExploreLimits, Explorer, Reduction};
-use mpcn_runtime::model_world::{Body, ModelWorld, RunReport};
+use mpcn_runtime::model_world::{body, Body, RunReport};
 use mpcn_runtime::sched::Crashes;
-use mpcn_runtime::world::{Env, ObjKey};
+use mpcn_runtime::world::ObjKey;
 
 const X: ObjKey = ObjKey::new(80, 0, 0);
 const Y: ObjKey = ObjKey::new(80, 0, 1);
@@ -31,14 +31,14 @@ const REDUCTIONS: [fn() -> Reduction; 2] = [Reduction::none, Reduction::full];
 /// Each process decides the value it read.
 fn sb_bodies() -> Vec<Body> {
     vec![
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(X, 1u64);
-            env.reg_read::<u64>(Y).unwrap_or(0)
-        }) as Body,
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(Y, 1u64);
-            env.reg_read::<u64>(X).unwrap_or(0)
-        }) as Body,
+        body(|env| async move {
+            env.reg_write(X, 1u64).await;
+            env.reg_read::<u64>(Y).await.unwrap_or(0)
+        }),
+        body(|env| async move {
+            env.reg_write(Y, 1u64).await;
+            env.reg_read::<u64>(X).await.unwrap_or(0)
+        }),
     ]
 }
 
@@ -55,16 +55,16 @@ fn sb_both_zero(report: &RunReport) -> Result<(), String> {
 /// restoration of sequential consistency on x86.
 fn sb_fenced_bodies() -> Vec<Body> {
     vec![
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(X, 1u64);
-            env.fence();
-            env.reg_read::<u64>(Y).unwrap_or(0)
-        }) as Body,
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(Y, 1u64);
-            env.fence();
-            env.reg_read::<u64>(X).unwrap_or(0)
-        }) as Body,
+        body(|env| async move {
+            env.reg_write(X, 1u64).await;
+            env.fence().await;
+            env.reg_read::<u64>(Y).await.unwrap_or(0)
+        }),
+        body(|env| async move {
+            env.reg_write(Y, 1u64).await;
+            env.fence().await;
+            env.reg_read::<u64>(X).await.unwrap_or(0)
+        }),
     ]
 }
 
@@ -73,16 +73,16 @@ fn sb_fenced_bodies() -> Vec<Body> {
 /// decides `2`.
 fn mp_bodies() -> Vec<Body> {
     vec![
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(DATA, 1u64);
-            env.reg_write(FLAG, 1u64);
+        body(|env| async move {
+            env.reg_write(DATA, 1u64).await;
+            env.reg_write(FLAG, 1u64).await;
             0u64
-        }) as Body,
-        Box::new(|env: Env<ModelWorld>| {
-            let flag = env.reg_read::<u64>(FLAG).unwrap_or(0);
-            let data = env.reg_read::<u64>(DATA).unwrap_or(0);
+        }),
+        body(|env| async move {
+            let flag = env.reg_read::<u64>(FLAG).await.unwrap_or(0);
+            let data = env.reg_read::<u64>(DATA).await.unwrap_or(0);
             2 * flag + data
-        }) as Body,
+        }),
     ]
 }
 
@@ -98,16 +98,16 @@ fn mp_stale_data(report: &RunReport) -> Result<(), String> {
 /// per-location store order backwards.
 fn corr_bodies() -> Vec<Body> {
     vec![
-        Box::new(|env: Env<ModelWorld>| {
-            env.reg_write(X, 1u64);
-            env.reg_write(X, 2u64);
+        body(|env| async move {
+            env.reg_write(X, 1u64).await;
+            env.reg_write(X, 2u64).await;
             0u64
-        }) as Body,
-        Box::new(|env: Env<ModelWorld>| {
-            let r1 = env.reg_read::<u64>(X).unwrap_or(0);
-            let r2 = env.reg_read::<u64>(X).unwrap_or(0);
+        }),
+        body(|env| async move {
+            let r1 = env.reg_read::<u64>(X).await.unwrap_or(0);
+            let r2 = env.reg_read::<u64>(X).await.unwrap_or(0);
             3 * r1 + r2
-        }) as Body,
+        }),
     ]
 }
 
@@ -233,12 +233,12 @@ fn buffered_write_of_a_crashed_process_still_flushes() {
         vec![
             // The read of `Y` gives the adversary a crash window while
             // the write of `X` is still parked in P0's store buffer.
-            Box::new(|env: Env<ModelWorld>| {
-                env.reg_write(X, 1u64);
-                let _ = env.reg_read::<u64>(Y);
+            body(|env| async move {
+                env.reg_write(X, 1u64).await;
+                let _ = env.reg_read::<u64>(Y).await;
                 0u64
-            }) as Body,
-            Box::new(|env: Env<ModelWorld>| env.reg_read::<u64>(X).unwrap_or(0)) as Body,
+            }),
+            body(|env| async move { env.reg_read::<u64>(X).await.unwrap_or(0) }),
         ]
     };
     let out = Explorer::new(2)

@@ -6,21 +6,21 @@ use proptest::prelude::*;
 
 use mpcn_runtime::explore::{ExploreLimits, Explorer, Reduction};
 use mpcn_runtime::fingerprint::fp_of;
-use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
+use mpcn_runtime::model_world::{body, Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use mpcn_runtime::sched::{Crashes, Schedule};
-use mpcn_runtime::world::{Env, ObjKey};
+use mpcn_runtime::world::ObjKey;
 
 fn counter_bodies(n: usize, rounds: u64) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let snap = ObjKey::new(70, 0, 0);
                 for r in 1..=rounds {
-                    env.snap_write(snap, n, i, r);
+                    env.snap_write(snap, n, i, r).await;
                 }
-                let view = env.snap_scan::<u64>(snap, n);
+                let view = env.snap_scan::<u64>(snap, n).await;
                 view.into_iter().flatten().sum()
-            }) as Body
+            })
         })
         .collect()
 }
@@ -37,34 +37,38 @@ fn counter_bodies(n: usize, rounds: u64) -> Vec<Body> {
 fn small_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let mut acc = 0u64;
                 for j in 0..ops {
                     let h = fp_of(&(seed, i, j));
                     let key = ObjKey::new(74, 0, h % 2);
                     match h % 6 {
-                        0 => env.reg_write(key, h % 16),
-                        1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).unwrap_or(7)),
-                        2 => env.snap_write(ObjKey::new(75, 0, 0), n, i, h % 16),
+                        0 => env.reg_write(key, h % 16).await,
+                        1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).await.unwrap_or(7)),
+                        2 => env.snap_write(ObjKey::new(75, 0, 0), n, i, h % 16).await,
                         3 => {
-                            let view = env.snap_scan::<u64>(ObjKey::new(75, 0, 0), n);
+                            let view = env.snap_scan::<u64>(ObjKey::new(75, 0, 0), n).await;
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         4 => {
                             // Declared view summary, deliberately lossy:
                             // the body consumes only the count of
                             // written cells, not their values.
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(75, 0, 0), n, |view| {
+                            let written = env
+                                .snap_scan_via::<u64, u64>(ObjKey::new(75, 0, 0), n, |view| {
                                     view.iter().flatten().count() as u64
-                                });
+                                })
+                                .await;
                             acc = acc.wrapping_add(written);
                         }
-                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(76, 0, h % 2)))),
+                        _ => {
+                            acc = acc
+                                .wrapping_add(u64::from(env.tas(ObjKey::new(76, 0, h % 2)).await))
+                        }
                     }
                 }
                 acc
-            }) as Body
+            })
         })
         .collect()
 }
@@ -82,31 +86,35 @@ fn small_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
 fn symmetric_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let mut acc = 0u64;
                 for j in 0..ops {
                     let h = fp_of(&(seed, j));
                     let key = ObjKey::new(77, 0, h % 2);
                     match h % 6 {
-                        0 => env.reg_write(key, h % 16),
-                        1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).unwrap_or(7)),
-                        2 => env.snap_write(ObjKey::new(78, 0, 0), n, i, h % 16),
+                        0 => env.reg_write(key, h % 16).await,
+                        1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).await.unwrap_or(7)),
+                        2 => env.snap_write(ObjKey::new(78, 0, 0), n, i, h % 16).await,
                         3 => {
-                            let view = env.snap_scan::<u64>(ObjKey::new(78, 0, 0), n);
+                            let view = env.snap_scan::<u64>(ObjKey::new(78, 0, 0), n).await;
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         4 => {
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(78, 0, 0), n, |view| {
+                            let written = env
+                                .snap_scan_via::<u64, u64>(ObjKey::new(78, 0, 0), n, |view| {
                                     view.iter().flatten().count() as u64
-                                });
+                                })
+                                .await;
                             acc = acc.wrapping_add(written);
                         }
-                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(79, 0, h % 2)))),
+                        _ => {
+                            acc = acc
+                                .wrapping_add(u64::from(env.tas(ObjKey::new(79, 0, h % 2)).await))
+                        }
                     }
                 }
                 acc
-            }) as Body
+            })
         })
         .collect()
 }
@@ -122,34 +130,36 @@ fn symmetric_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
 fn buffer_free_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let mut acc = 0u64;
                 for j in 0..ops {
                     let h = fp_of(&(seed, i, j));
                     match h % 4 {
                         0 => {
                             acc = acc.wrapping_add(
-                                env.reg_read::<u64>(ObjKey::new(84, 0, h % 2)).unwrap_or(7),
+                                env.reg_read::<u64>(ObjKey::new(84, 0, h % 2)).await.unwrap_or(7),
                             );
                         }
                         1 => {
-                            let view = env.snap_scan::<u64>(ObjKey::new(85, 0, 0), n);
+                            let view = env.snap_scan::<u64>(ObjKey::new(85, 0, 0), n).await;
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         2 => {
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(85, 0, 0), n, |view| {
+                            let written = env
+                                .snap_scan_via::<u64, u64>(ObjKey::new(85, 0, 0), n, |view| {
                                     view.iter().flatten().count() as u64
-                                });
+                                })
+                                .await;
                             acc = acc.wrapping_add(written);
                         }
                         _ => {
-                            acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(86, 0, h % 4))));
+                            acc = acc
+                                .wrapping_add(u64::from(env.tas(ObjKey::new(86, 0, h % 4)).await));
                         }
                     }
                 }
                 acc
-            }) as Body
+            })
         })
         .collect()
 }
@@ -194,7 +204,7 @@ proptest! {
         let n = 4usize;
         let key = ObjKey::new(71, 0, 0);
         let bodies: Vec<Body> = (0..n)
-            .map(|_| Box::new(move |env: Env<ModelWorld>| u64::from(env.tas(key))) as Body)
+            .map(|_| body(move |env| async move { u64::from(env.tas(key).await) }))
             .collect();
         let cfg = RunConfig::new(n)
             .schedule(Schedule::RandomSeed(seed))
@@ -216,18 +226,18 @@ proptest! {
         let snap = ObjKey::new(72, 0, 0);
         let mut bodies: Vec<Body> = (0..n - 1)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     for r in 1..=5u64 {
-                        env.snap_write(snap, n, i, r);
+                        env.snap_write(snap, n, i, r).await;
                     }
                     0u64
-                }) as Body
+                })
             })
             .collect();
-        bodies.push(Box::new(move |env: Env<ModelWorld>| {
+        bodies.push(body(move |env| async move {
             let mut last = vec![0u64; n];
             for _ in 0..10 {
-                let view = env.snap_scan::<u64>(snap, n);
+                let view = env.snap_scan::<u64>(snap, n).await;
                 for (j, v) in view.into_iter().enumerate() {
                     let v = v.unwrap_or(0);
                     assert!(v >= last[j], "cell {j} regressed: {v} < {}", last[j]);
@@ -822,12 +832,12 @@ proptest! {
         let reg = ObjKey::new(73, 0, 0);
         let bodies: Vec<Body> = (0..n)
             .map(|i| {
-                Box::new(move |env: Env<ModelWorld>| {
+                body(move |env| async move {
                     for r in 0..8u64 {
-                        env.reg_write(reg.with_b(i as u64), r);
+                        env.reg_write(reg.with_b(i as u64), r).await;
                     }
                     i as u64
-                }) as Body
+                })
             })
             .collect();
         let cfg = RunConfig::new(n)

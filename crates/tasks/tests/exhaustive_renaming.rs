@@ -4,11 +4,10 @@
 //! `programs.rs` with full coverage at small scale.
 
 use mpcn_runtime::explore::{explore, ExploreLimits};
-use mpcn_runtime::model_world::{Body, ModelWorld, RunReport};
+use mpcn_runtime::model_world::{body, Body, RunReport};
 use mpcn_runtime::program::{SimOp, SimProcess, SimResponse, SimStep};
 use mpcn_runtime::runner::mem_key;
 use mpcn_runtime::sched::Crashes;
-use mpcn_runtime::Env;
 use mpcn_tasks::programs::Renaming;
 use mpcn_tasks::TaskKind;
 
@@ -16,18 +15,18 @@ use mpcn_tasks::TaskKind;
 /// translation as `runner::run_direct`, restated here because exploration
 /// needs raw bodies).
 fn renaming_body(pid: usize, n: usize) -> Body {
-    Box::new(move |env: Env<ModelWorld>| {
+    body(move |env| async move {
         let mut prog = Renaming::new(pid);
         let mut step = prog.begin();
         loop {
             match step {
                 SimStep::Decide(v) => return v,
                 SimStep::Invoke(SimOp::Write(v)) => {
-                    env.snap_write(mem_key(), n, pid, v);
+                    env.snap_write(mem_key(), n, pid, v).await;
                     step = prog.on_response(SimResponse::WriteAck);
                 }
                 SimStep::Invoke(SimOp::Snapshot) => {
-                    let view = env.snap_scan::<u64>(mem_key(), n);
+                    let view = env.snap_scan::<u64>(mem_key(), n).await;
                     step = prog.on_response(SimResponse::Snapshot(view));
                 }
                 SimStep::Invoke(SimOp::XConsPropose { .. }) => {

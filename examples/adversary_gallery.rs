@@ -8,8 +8,8 @@ use mpcn::agreement::safe::SafeAgreement;
 use mpcn::core::equivalence::{boundary, check_simulation};
 use mpcn::core::simulator::SimRun;
 use mpcn::model::ModelParams;
-use mpcn::runtime::model_world::{Body, ModelWorld, RunConfig, RunReport};
-use mpcn::runtime::{Crashes, Env, Schedule};
+use mpcn::runtime::model_world::{body, Body, ModelWorld, RunConfig, RunReport};
+use mpcn::runtime::{Crashes, Schedule};
 use mpcn::tasks::algorithms;
 use mpcn::{ExploreLimits, Explorer};
 
@@ -33,11 +33,11 @@ fn exhibit_1_min_index_tiebreak() {
     });
     let bodies: Vec<Body> = (0..2)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let sa = SafeAgreement::new(500, 0, 2);
-                sa.propose(&env, 100 + i as u64);
-                sa.decide::<u64, _>(&env)
-            }) as Body
+                sa.sa_propose(&env, 100 + i as u64).await;
+                sa.sa_decide::<u64, _>(&env).await
+            })
         })
         .collect();
     let report = ModelWorld::run(cfg, bodies);
@@ -55,11 +55,11 @@ fn exhibit_2_blocked_safe_agreement() {
         .max_steps(5_000);
     let bodies: Vec<Body> = (0..2)
         .map(|i| {
-            Box::new(move |env: Env<ModelWorld>| {
+            body(move |env| async move {
                 let sa = SafeAgreement::new(501, 0, 2);
-                sa.propose(&env, 100 + i as u64);
-                sa.decide::<u64, _>(&env)
-            }) as Body
+                sa.sa_propose(&env, 100 + i as u64).await;
+                sa.sa_decide::<u64, _>(&env).await
+            })
         })
         .collect();
     let report = ModelWorld::run(cfg, bodies);
